@@ -25,10 +25,9 @@ from .estimator import (
     LocationScatter,
     PCAModel,
     estimating_equation_residual,
-    fit_regularized,
     fit_sppca,
     fit_tme,
-    fixed_point_step,
+    in_ball,
     initial_estimate,
     mahalanobis,
     pca,
@@ -61,11 +60,10 @@ from .simgen import (
 from .tuning import (
     ARCurve,
     TuningResult,
-    active_ratio,
     build_grid,
     select_a_star,
     smooth_curve,
 )
-from .weights import WeightSpec, in_ball, weight, weight_product
+from .weights import WeightSpec, weight, weight_product
 
 __version__ = "0.1.0"

@@ -29,15 +29,14 @@ from .errors import EmptyData, RobustScatterError
 from .estimator import (
     DataSet,
     FitOptions,
-    fit_regularized,
     fit_sppca,
     pca,
     solution_set,
+    squared_distances,
 )
 from .simgen import METHODS, SimConfig, run_experiment
 from .tuning import ARCurve, build_grid, select_a_star, smooth_curve
 from .weights import WeightSpec, weight
-from .estimator import _squared_distances  # row distances for weight output
 
 
 def load_csv(path, standardize: bool = True) -> DataSet:
@@ -136,13 +135,10 @@ def cmd_fit_pca(args) -> list[str]:
     else:
         raise RobustScatterError("supply --a or --tuning with a prior tuning.json")
     k = args.k if args.k is not None else min(data.p, 2)
-    if args.tau > 0:
-        fit = fit_regularized(data, a, tau=args.tau, spec=spec, opts=opts)
-    else:
-        fit = fit_sppca(data, a, spec=spec, opts=opts)
+    fit = fit_sppca(data, a, spec=spec, opts=opts, tau=args.tau)
     model = pca(fit.ls, k)
 
-    d = _squared_distances(data.X - fit.ls.mu, fit.ls.V, fit.ls.diag_approx)
+    d = squared_distances(data.X - fit.ls.mu, fit.ls.V, fit.ls.diag_approx)
     w = np.asarray(weight(d, spec))
     scores = (data.X - fit.ls.mu) @ model.eigenvectors
 
@@ -216,7 +212,8 @@ def _add_common(sp, with_input=True):
     sp.add_argument("--tol", type=float, default=1e-8, help="solver tolerance")
     sp.add_argument("--max-iter", type=int, default=500, help="solver iteration cap")
     sp.add_argument("--threads", type=int, default=None,
-                    help="worker count (or env ROBUST_SCATTER_THREADS)")
+                    help="threads for the fits of one solution path "
+                         "(or env ROBUST_SCATTER_THREADS)")
     sp.add_argument("--full-mahalanobis", action="store_true",
                     help="use the full scatter in distances instead of its diagonal")
     sp.add_argument("--no-standardize", action="store_true",

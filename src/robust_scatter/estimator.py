@@ -11,9 +11,10 @@ data carries explicit weights).  The solver iterates this map from an initial
 (mu_tilde, a * V_tilde); the initialization scale ``a`` selects which member
 of the solution family the iteration converges to.
 
-A plain Tyler-type baseline (``fit_tme``), a ridge-blended variant for p > n
-(``fit_regularized``), the robust initializer (column medians and tau-scales),
-and the eigendecomposition used for PCA output live here as well.
+A ridge blend toward the identity for p > n (``tau`` in ``fit_sppca``), a
+plain Tyler-type baseline (``fit_tme``), the robust initializer (column
+medians and tau-scales), and the eigendecomposition used for PCA output live
+here as well.
 
 For stability at large p, squared distances can be computed against the
 diagonal of V instead of the full matrix (``diag_approx``, on by default).
@@ -35,7 +36,7 @@ from .errors import (
     EmptyActiveSet,
     SingularScatter,
 )
-from .weights import WeightSpec, weight
+from .weights import UNIT, WeightSpec, weight
 
 # Population value of the raw tau-scale at the standard Gaussian, computed by
 # Gauss quadrature of s0^2 * E[min((X/s0)^2, c2^2)] with s0 the normal MAD
@@ -155,7 +156,7 @@ class FitOptions:
     diag_approx: bool = True
 
 
-def _squared_distances(diff: np.ndarray, V: np.ndarray, diag_approx: bool) -> np.ndarray:
+def squared_distances(diff: np.ndarray, V: np.ndarray, diag_approx: bool) -> np.ndarray:
     """Row-wise (x - mu)^T V^{-1} (x - mu) for pre-centered rows ``diff``."""
     if diag_approx:
         dv = np.diag(V)
@@ -180,21 +181,31 @@ def mahalanobis(x, ls: LocationScatter) -> float:
     if x.shape != ls.mu.shape:
         raise ValueError(f"dimension mismatch: x {x.shape}, mu {ls.mu.shape}")
     diff = (x - ls.mu)[None, :]
-    return float(_squared_distances(diff, ls.V, ls.diag_approx)[0])
+    return float(squared_distances(diff, ls.V, ls.diag_approx)[0])
+
+
+def in_ball(x, ls: LocationScatter, spec: WeightSpec = WeightSpec()) -> bool:
+    """True iff ``x`` lies strictly inside the trimming ball of ``ls``.
+
+    Equivalent to ``weight(d(x, mu, V), spec) > 0`` for the hard-threshold
+    kind; always true for the unit kind.
+    """
+    if spec.kind == UNIT:
+        return True
+    return mahalanobis(x, ls) < spec.cutoff
 
 
 def active_mask(data: DataSet, ls: LocationScatter, spec: WeightSpec) -> np.ndarray:
     """Boolean mask of observations with positive weight under ``ls``."""
-    d = _squared_distances(data.X - ls.mu, ls.V, ls.diag_approx)
-    if spec.kind == "unit":
+    if spec.kind == UNIT:
         return np.ones(data.n, dtype=bool)
-    return d < spec.cutoff
+    return squared_distances(data.X - ls.mu, ls.V, ls.diag_approx) < spec.cutoff
 
 
 def _step(X, pi, mu, V, spec, diag_approx, tau=0.0):
     """One application of the fixed-point map; returns (mu_new, V_new)."""
     diff = X - mu
-    d = _squared_distances(diff, V, diag_approx)
+    d = squared_distances(diff, V, diag_approx)
     w = weight(d, spec)
     pw = pi * w
     sw = pw.sum()
@@ -210,19 +221,6 @@ def _step(X, pi, mu, V, spec, diag_approx, tau=0.0):
     if tau > 0.0:
         V_new = V_new / (1.0 + tau) + (tau / (1.0 + tau)) * np.eye(p)
     return mu_new, V_new
-
-
-def fixed_point_step(data: DataSet, current: LocationScatter, spec: WeightSpec) -> LocationScatter:
-    """One fixed-point update of (mu, V) from ``current``.
-
-    The scatter numerator is centered at the current mu; distances honor
-    ``current.diag_approx``.  Raises EmptyActiveSet when every observation is
-    trimmed, DegenerateStep when the weighted distance sum vanishes.
-    """
-    mu_new, V_new = _step(
-        data.X, data.effective_weights(), current.mu, current.V, spec, current.diag_approx
-    )
-    return LocationScatter(mu_new, V_new, diag_approx=current.diag_approx)
 
 
 def _relative_change(mu_new, mu, V_new, V) -> float:
@@ -246,7 +244,42 @@ def _finish(data, mu, V, a, spec, opts, iterations, converged, residual) -> FitR
     )
 
 
-def _fit_loop(data, a, init, spec, opts, tau=0.0) -> FitResult:
+def fit_sppca(
+    data: DataSet,
+    a: float,
+    init: LocationScatter | None = None,
+    spec: WeightSpec = WeightSpec(),
+    opts: FitOptions = FitOptions(),
+    tau: float = 0.0,
+) -> FitResult:
+    """Run the fixed-point iteration from (mu_tilde, a * V_tilde).
+
+    Parameters
+    ----------
+    data : DataSet
+    a : initialization scale, in squared-distance units (order O(p)).
+    init : optional explicit initial state; by default the robust initial
+        estimate scaled by ``a``.
+    spec, opts : weight family and solver controls.
+    tau : ridge blend weight; each scatter update is shrunk toward the
+        identity, V <- V_fp / (1 + tau) + tau / (1 + tau) * I.  With the
+        default tau = 0 the map is the plain one.  The blend keeps V positive
+        definite when p > n, where the plain update is rank deficient and
+        the full-matrix distance computation fails.
+
+    Returns a FitResult; non-convergence is flagged (``converged=False``),
+    not raised, so a whole solution path can be assembled.  EmptyActiveSet
+    and DegenerateStep propagate with the offending iteration index.
+    """
+    if a <= 0:
+        raise ValueError("a must be positive")
+    if tau < 0:
+        raise ValueError("tau must be nonnegative")
+    if init is None:
+        base = initial_estimate(data)
+        init = LocationScatter(base.mu, a * base.V, diag_approx=opts.diag_approx)
+    elif init.diag_approx != opts.diag_approx:
+        init = LocationScatter(init.mu, init.V, diag_approx=opts.diag_approx)
     X = data.X
     pi = data.effective_weights()
     mu, V = init.mu.copy(), init.V.copy()
@@ -261,64 +294,6 @@ def _fit_loop(data, a, init, spec, opts, tau=0.0) -> FitResult:
         if residual <= opts.tol:
             return _finish(data, mu, V, a, spec, opts, it, True, residual)
     return _finish(data, mu, V, a, spec, opts, opts.max_iter, False, residual)
-
-
-def fit_sppca(
-    data: DataSet,
-    a: float,
-    init: LocationScatter | None = None,
-    spec: WeightSpec = WeightSpec(),
-    opts: FitOptions = FitOptions(),
-) -> FitResult:
-    """Run the fixed-point iteration from (mu_tilde, a * V_tilde).
-
-    Parameters
-    ----------
-    data : DataSet
-    a : initialization scale, in squared-distance units (order O(p)).
-    init : optional explicit initial state; by default the robust initial
-        estimate scaled by ``a``.
-    spec, opts : weight family and solver controls.
-
-    Returns a FitResult; non-convergence is flagged (``converged=False``),
-    not raised, so a whole solution path can be assembled.  EmptyActiveSet
-    and DegenerateStep propagate with the offending iteration index.
-    """
-    if a <= 0:
-        raise ValueError("a must be positive")
-    if init is None:
-        base = initial_estimate(data)
-        init = LocationScatter(base.mu, a * base.V, diag_approx=opts.diag_approx)
-    elif init.diag_approx != opts.diag_approx:
-        init = LocationScatter(init.mu, init.V, diag_approx=opts.diag_approx)
-    return _fit_loop(data, a, init, spec, opts)
-
-
-def fit_regularized(
-    data: DataSet,
-    a: float,
-    tau: float,
-    spec: WeightSpec = WeightSpec(),
-    opts: FitOptions = FitOptions(),
-    init: LocationScatter | None = None,
-) -> FitResult:
-    """Ridge-blended variant: each scatter update is shrunk toward the
-    identity, V <- V_fp / (1 + tau) + tau / (1 + tau) * I.
-
-    With tau = 0 the iterates are identical to ``fit_sppca``.  The blend
-    keeps V positive definite when p > n, where the plain update is rank
-    deficient and the full-matrix distance computation fails.
-    """
-    if tau < 0:
-        raise ValueError("tau must be nonnegative")
-    if a <= 0:
-        raise ValueError("a must be positive")
-    if init is None:
-        base = initial_estimate(data)
-        init = LocationScatter(base.mu, a * base.V, diag_approx=opts.diag_approx)
-    elif init.diag_approx != opts.diag_approx:
-        init = LocationScatter(init.mu, init.V, diag_approx=opts.diag_approx)
-    return _fit_loop(data, a, init, spec, opts, tau=tau)
 
 
 def solution_set(
@@ -345,7 +320,7 @@ def solution_set(
     def run(a: float) -> FitResult:
         init = LocationScatter(base.mu, a * base.V, diag_approx=opts.diag_approx)
         try:
-            return _fit_loop(data, a, init, spec, opts)
+            return fit_sppca(data, a, init=init, spec=spec, opts=opts)
         except (EmptyActiveSet, DegenerateStep, SingularScatter) as exc:
             mask = np.zeros(data.n, dtype=bool)
             return FitResult(
@@ -424,7 +399,7 @@ def fit_tme(
     dropped = 0
     converged = False
     for _ in range(opts.max_iter):
-        d = _squared_distances(diff, V, opts.diag_approx)
+        d = squared_distances(diff, V, opts.diag_approx)
         keep = d > 0.0
         n_dropped = int((~keep).sum())
         if n_dropped:

@@ -17,7 +17,6 @@ from __future__ import annotations
 import csv
 import json
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
@@ -244,11 +243,11 @@ def _default_grid(p: int) -> np.ndarray:
     return np.linspace(lo * p, hi * p, DEFAULT_GRID_POINTS)
 
 
-def _one_replicate(cfg, rep, methods, spec, opts, grid):
+def _one_replicate(cfg, rep, methods, spec, opts, grid, workers):
     """Similarities for all requested methods on one seeded draw."""
     data, truth = gen_mixture(replace(cfg, seed=replicate_seed(cfg.seed, rep)))
     out: dict[str, float | None] = {}
-    path = solution_set(data, grid, spec=spec, opts=opts)
+    path = solution_set(data, grid, spec=spec, opts=opts, workers=workers)
     ok = [f for f in path if f.error is None]
     if len(ok) < 4:
         return {m: None for m in methods}
@@ -302,8 +301,9 @@ def run_experiment(
     the path element with the best similarity (an oracle, for reference
     only), and ``tme`` the unweighted baseline at the tuned location.
     Per-replicate seeds derive from (config seed, replicate index), so any
-    replicate can be reproduced in isolation and the table is identical for
-    any worker count.  Replicates with failed fits are excluded per method
+    replicate can be reproduced in isolation.  ``workers`` threads run the
+    fits of each replicate's solution path; the table is identical for any
+    worker count.  Replicates with failed fits are excluded per method
     and counted; a config-method cell failing more than 20% of replicates is
     flagged invalid.
     """
@@ -318,15 +318,8 @@ def run_experiment(
     rows, rep_rows = [], []
     for cfg in configs:
         g = _default_grid(cfg.p) if grid is None else np.asarray(grid, dtype=float)
-
-        def run(rep, cfg=cfg, g=g):
-            return _one_replicate(cfg, rep, methods, spec, opts, g)
-
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                results = list(pool.map(run, range(replicates)))
-        else:
-            results = [run(rep) for rep in range(replicates)]
+        results = [_one_replicate(cfg, rep, methods, spec, opts, g, workers)
+                   for rep in range(replicates)]
 
         for rep, res in enumerate(results):
             for method in methods:

@@ -10,22 +10,13 @@ read from a cubic smoothing-spline fit of the curve.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.interpolate import make_smoothing_spline
 
 from .errors import GridNotFound
-from .estimator import (
-    DataSet,
-    FitOptions,
-    FitResult,
-    LocationScatter,
-    active_mask,
-    fit_sppca,
-    initial_estimate,
-)
+from .estimator import DataSet, FitOptions, LocationScatter, fit_sppca, initial_estimate
 from .weights import WeightSpec
 
 # scan range for grid-endpoint location, in units of p
@@ -67,12 +58,6 @@ class TuningResult:
     candidates: np.ndarray
     fallback_used: bool
     ar_at_a_star: float
-
-
-def active_ratio(fit: FitResult, data: DataSet, spec: WeightSpec = WeightSpec()) -> float:
-    """Weighted fraction of observations inside the fitted trimming ball."""
-    mask = active_mask(data, fit.ls, spec)
-    return min(1.0, max(0.0, float(data.effective_weights() @ mask)))
 
 
 def _probe_ar(data, base, a, spec, opts, cache):
@@ -201,22 +186,6 @@ def _gcv_penalty(x, y, max_dof):
     return min(admissible, key=gcv)
 
 
-def _edof_penalty(x, target):
-    """Penalty whose smoother trace equals ``target`` degrees of freedom."""
-    d, _ = _penalty_eigensystem(x)
-    pos = d[d > 0]
-    lo, hi = 1e-10 / pos.max(), 1e10 / pos.min()
-    for _ in range(200):
-        mid = np.sqrt(lo * hi)
-        if np.sum(1.0 / (1.0 + mid * d)) > target:
-            lo = mid
-        else:
-            hi = mid
-        if hi / lo < 1 + 1e-9:
-            break
-    return np.sqrt(lo * hi)
-
-
 def smooth_curve(grid, ar_raw, lam: float | None = None):
     """Cubic smoothing spline through the raw curve.
 
@@ -226,46 +195,37 @@ def smooth_curve(grid, ar_raw, lam: float | None = None):
     are staircases with strongly dependent increments for which
     unconstrained cross-validation degenerates to interpolation.  Returns
     fitted values at the grid points (clipped into [0, 1]) and the spline's
-    analytic first derivative there.  If the cross-validation search fails,
-    falls back to that fixed-dof limit with a warning; for m == 4 the limit
-    is the least-squares line.
+    analytic first derivative there.  For m == 4 the dof limit is the
+    least-squares line.  Raises ValueError unless the grid is finite and
+    strictly increasing.
     """
     x = np.asarray(grid, dtype=float)
     y = np.asarray(ar_raw, dtype=float)
     m = x.size
     if m < 4:
         raise ValueError("need at least 4 grid points to smooth")
-    if lam is None and m >= 5:
-        try:
-            lam = _gcv_penalty(x, y, MAX_SMOOTHER_DOF)
-        except Exception as exc:
-            target = min(MAX_SMOOTHER_DOF, m - 2)
-            warnings.warn(f"cross-validation failed ({exc}); using fixed {target}-dof fit")
-            try:
-                lam = _edof_penalty(x, target)
-            except Exception:
-                lam = None
-    if lam is None or m < 5:  # scipy's spline needs at least 5 knots; 2-dof limit
+    if not np.all(np.isfinite(x)) or np.any(np.diff(x) <= 0):
+        raise ValueError("grid must be finite and strictly increasing")
+    if m < 5:  # scipy's spline needs at least 5 knots; 2-dof limit
         coef = np.polyfit(x, y, 1)
         return np.clip(np.polyval(coef, x), 0.0, 1.0), np.full(m, coef[0])
+    if lam is None:
+        lam = _gcv_penalty(x, y, MAX_SMOOTHER_DOF)
     spl = make_smoothing_spline(x, y, lam=lam)
     fitted = np.clip(spl(x), 0.0, 1.0)
     slope = spl.derivative()(x)
     return fitted, slope
 
 
-def select_a_star(curve: ARCurve, literal_ar_minima: bool = False) -> TuningResult:
+def select_a_star(curve: ARCurve) -> TuningResult:
     """First strict local minimum of the smoothed curve's slope.
 
     Collects interior grid points whose slope is strictly below both
     neighbors and returns the smallest; plateaus do not qualify.  When no
     such point exists (e.g. a concave curve on clean data) the largest grid
-    scale is returned with ``fallback_used`` set.  ``literal_ar_minima``
-    applies the same test to the smoothed curve values themselves instead of
-    the slope (kept for comparison; almost always empty since the curve is
-    non-decreasing).
+    scale is returned with ``fallback_used`` set.
     """
-    seq = curve.ar_smooth if literal_ar_minima else curve.slope
+    seq = curve.slope
     idx = [j for j in range(1, len(seq) - 1) if seq[j] < seq[j - 1] and seq[j] < seq[j + 1]]
     candidates = curve.grid[idx]
     if idx:

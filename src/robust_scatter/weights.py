@@ -1,4 +1,4 @@
-"""Observation weight family and the trimming-ball predicate.
+"""Observation weight family.
 
 The estimator downweights observations by ``w(u) = e^{-u}`` and trims them
 entirely once ``e^{-u}`` falls to a threshold ``alpha``, i.e. once the squared
@@ -71,15 +71,3 @@ def weight_product(u, spec: WeightSpec = WeightSpec()):
     out = weight(u, spec) * u
     return out if np.ndim(out) else float(out)
 
-
-def in_ball(x, ls, spec: WeightSpec = WeightSpec()) -> bool:
-    """True iff ``x`` lies strictly inside the trimming ball of ``ls``.
-
-    Equivalent to ``weight(d(x, mu, V), spec) > 0`` for the hard-threshold
-    kind; always true for the unit kind.
-    """
-    from .estimator import mahalanobis  # deferred to avoid a cycle
-
-    if spec.kind == UNIT:
-        return True
-    return mahalanobis(x, ls) < spec.cutoff

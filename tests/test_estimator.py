@@ -15,10 +15,8 @@ from robust_scatter import (
     SingularScatter,
     WeightSpec,
     estimating_equation_residual,
-    fit_regularized,
     fit_sppca,
     fit_tme,
-    fixed_point_step,
     initial_estimate,
     mahalanobis,
     pca,
@@ -88,10 +86,16 @@ def test_mahalanobis_diagonal_mode():
 # ---------------------------------------------------------------- one step
 
 
+def one_step(data, cur):
+    """A single fixed-point update of ``cur``, honoring its distance mode."""
+    opts = FitOptions(max_iter=1, diag_approx=cur.diag_approx)
+    return fit_sppca(data, a=1.0, init=cur, opts=opts).ls
+
+
 def test_cross_data_is_fixed_point():
     data = DataSet(CROSS)
     cur = LocationScatter(np.zeros(2), np.eye(2))
-    nxt = fixed_point_step(data, cur, WeightSpec())
+    nxt = one_step(data, cur)
     assert np.allclose(nxt.mu, 0.0, atol=1e-15)
     assert np.allclose(nxt.V, np.eye(2), atol=1e-12)
 
@@ -100,21 +104,21 @@ def test_step_empty_active_set():
     data = DataSet(CROSS + 10.0)  # all points at squared distance >> ln 20
     cur = LocationScatter(np.zeros(2), np.eye(2))
     with pytest.raises(EmptyActiveSet):
-        fixed_point_step(data, cur, WeightSpec())
+        one_step(data, cur)
 
 
 def test_step_degenerate():
     data = DataSet(np.zeros((3, 2)))
     cur = LocationScatter(np.zeros(2), np.eye(2))
     with pytest.raises(DegenerateStep):
-        fixed_point_step(data, cur, WeightSpec())
+        one_step(data, cur)
 
 
 def test_step_uses_previous_location_in_scatter():
     rng = np.random.default_rng(5)
     data = DataSet(rng.standard_normal((50, 2)) + 3.0)
     cur = LocationScatter(np.zeros(2), 4.0 * np.eye(2))
-    nxt = fixed_point_step(data, cur, WeightSpec())
+    nxt = one_step(data, cur)
     d = np.array([mahalanobis(x, cur) for x in data.X])
     w = np.where(d < WeightSpec().cutoff, np.exp(-d), 0.0)
     diff = data.X - cur.mu  # centered at the previous location
@@ -328,15 +332,21 @@ def test_tme_drops_points_at_mu():
 def test_regularized_tau_zero_identical(rng):
     data = DataSet(gaussian_data(300, 3, rng=rng))
     plain = fit_sppca(data, a=3.0)
-    reg = fit_regularized(data, a=3.0, tau=0.0)
+    reg = fit_sppca(data, a=3.0, tau=0.0)
     assert np.array_equal(plain.ls.V, reg.ls.V)
     assert np.array_equal(plain.ls.mu, reg.ls.mu)
     assert plain.iterations == reg.iterations
 
 
+def test_regularized_negative_tau_rejected(rng):
+    data = DataSet(gaussian_data(50, 3, rng=rng))
+    with pytest.raises(ValueError, match="tau"):
+        fit_sppca(data, a=3.0, tau=-0.1)
+
+
 def test_regularized_large_tau_gives_identity(rng):
     data = DataSet(gaussian_data(300, 3, rng=rng))
-    fit = fit_regularized(data, a=3.0, tau=1e6)
+    fit = fit_sppca(data, a=3.0, tau=1e6)
     assert np.linalg.norm(fit.ls.V - np.eye(3), "fro") <= 1e-4
 
 
@@ -347,7 +357,7 @@ def test_regularized_rescues_p_greater_than_n(rng):
     data = DataSet(X)
     with pytest.raises(SingularScatter):
         fit_sppca(data, a=40.0, opts=FitOptions(diag_approx=False))
-    fit = fit_regularized(data, a=40.0, tau=1.0, opts=FitOptions(diag_approx=False))
+    fit = fit_sppca(data, a=40.0, tau=1.0, opts=FitOptions(diag_approx=False))
     assert fit.converged
     assert estimating_equation_residual(data, fit) > 0  # smoke: state is usable
 

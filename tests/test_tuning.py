@@ -7,7 +7,6 @@ from robust_scatter import (
     FitOptions,
     GridNotFound,
     WeightSpec,
-    active_ratio,
     build_grid,
     fit_sppca,
     select_a_star,
@@ -31,8 +30,7 @@ def make_curve(grid, slope):
 def test_active_ratio_all_inside(rng):
     X = 0.2 * gaussian_data(200, 2, rng=rng)
     fit = fit_sppca(DataSet(X), a=8.0)
-    ar = active_ratio(fit, DataSet(X))
-    assert ar == fit.active_ratio
+    assert fit.active_ratio == 1.0
 
 
 def test_active_ratio_half_by_construction():
@@ -40,14 +38,14 @@ def test_active_ratio_half_by_construction():
     X = np.vstack([0.01 * np.eye(2)[[0, 1, 0, 1]], 100.0 + np.eye(2)[[0, 1, 0, 1]]])
     data = DataSet(X)
     fit = fit_sppca(data, a=2.0, opts=FitOptions(max_iter=200))
-    assert active_ratio(fit, data) == pytest.approx(0.5)
+    assert fit.active_ratio == pytest.approx(0.5)
 
 
 def test_active_ratio_matches_mask(rng):
     X = gaussian_data(400, 3, rng=rng)
     data = DataSet(X)
     fit = fit_sppca(data, a=3.0)
-    assert active_ratio(fit, data) == pytest.approx(float(fit.active_mask.mean()))
+    assert fit.active_ratio == pytest.approx(float(fit.active_mask.mean()))
 
 
 # ---------------------------------------------------------------- build_grid
@@ -133,6 +131,16 @@ def test_smooth_four_points_is_line():
     assert np.allclose(fitted, np.polyval(coef, x), atol=1e-12)
 
 
+def test_smooth_rejects_bad_grid():
+    y = np.array([0.1, 0.2, 0.3, 0.5, 0.6])
+    with pytest.raises(ValueError, match="strictly increasing"):
+        smooth_curve(np.array([1.0, 2.0, 2.0, 3.0, 4.0]), y)
+    with pytest.raises(ValueError, match="strictly increasing"):
+        smooth_curve(np.array([1.0, 3.0, 2.0, 4.0, 5.0]), y)
+    with pytest.raises(ValueError, match="finite"):
+        smooth_curve(np.array([1.0, 2.0, 3.0, 4.0, np.inf]), y)
+
+
 def test_smooth_fixed_penalty_passthrough():
     x = np.linspace(0.0, 1.0, 25)
     y = np.sin(3 * x) * 0.3 + 0.5
@@ -177,14 +185,6 @@ def test_select_min_of_candidates():
     result = select_a_star(curve)
     assert result.a_star == 2.0
     assert list(result.candidates) == [2.0, 4.0]
-
-
-def test_select_literal_variant_on_nondecreasing_curve():
-    grid = np.arange(1.0, 7.0)
-    ar = np.array([0.2, 0.4, 0.5, 0.6, 0.8, 1.0])
-    curve = ARCurve(grid=grid, ar_raw=ar, ar_smooth=ar, slope=np.gradient(ar, grid))
-    result = select_a_star(curve, literal_ar_minima=True)
-    assert result.fallback_used  # a non-decreasing curve has no local minima
 
 
 def test_select_deterministic():

@@ -105,5 +105,6 @@ def test_in_ball_examples():
     assert in_ball(np.zeros(2), ls, spec)
     # |x - mu|^2 = 4 > ln(20) ~ 2.996
     assert not in_ball(np.array([2.0, 0.0]), ls, spec)
+    assert in_ball(np.array([2.0, 0.0]), ls, WeightSpec(kind="unit"))
     with pytest.raises(ValueError):
         in_ball(np.zeros(3), ls, spec)
