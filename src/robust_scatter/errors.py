@@ -4,6 +4,10 @@
 class RobustScatterError(Exception):
     """Base class for all errors raised by this package."""
 
+    # fixed-point iteration at which a fit failed; 0 means before the first
+    # step.  ``fit_sppca`` sets it on the errors it re-raises.
+    iteration: int = 0
+
 
 class SingularScatter(RobustScatterError):
     """Scatter matrix is numerically singular (Cholesky failed)."""

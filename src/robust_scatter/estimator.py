@@ -18,7 +18,10 @@ here as well.
 
 For stability at large p, squared distances can be computed against the
 diagonal of V instead of the full matrix (``diag_approx``, on by default).
-The scatter update itself always produces the full matrix.
+The scatter update itself always produces the full matrix.  Full-matrix
+distances are d_i = ||L^{-1}(x_i - mu)||^2 with V = L L^T: one Cholesky
+factor and one p x p triangular inverse per call, then one matrix product
+whitens all rows, and a sum of squares can never be negative.
 """
 
 from __future__ import annotations
@@ -114,10 +117,7 @@ class LocationScatter:
             if np.any(np.diag(V) <= 0):
                 raise SingularScatter("diagonal of V must be strictly positive")
         else:
-            try:
-                scipy.linalg.cholesky(V, lower=True)
-            except scipy.linalg.LinAlgError as exc:
-                raise SingularScatter("V is not positive definite") from exc
+            _cholesky(V)
         object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "V", V)
 
@@ -156,19 +156,40 @@ class FitOptions:
     diag_approx: bool = True
 
 
+def _cholesky(V: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factor of V (upper triangle zeroed).
+
+    The one positive-definiteness rule of the package: raises SingularScatter
+    when LAPACK cannot factor V.
+    """
+    L, info = scipy.linalg.lapack.dpotrf(V, lower=1, clean=1)
+    if info != 0:
+        raise SingularScatter("scatter matrix is not positive definite")
+    return L
+
+
 def squared_distances(diff: np.ndarray, V: np.ndarray, diag_approx: bool) -> np.ndarray:
-    """Row-wise (x - mu)^T V^{-1} (x - mu) for pre-centered rows ``diff``."""
+    """Row-wise (x - mu)^T V^{-1} (x - mu) for pre-centered rows ``diff``.
+
+    With ``diag_approx`` only the diagonal of V enters.  Otherwise V = L L^T
+    is factored, the p x p factor is inverted, and the rows are whitened in
+    one product z = diff L^{-T}; each distance is the sum of the squares of a
+    row of z, so it is nonnegative by construction (and exactly 0 for a zero
+    row).  Raises SingularScatter when V is not positive definite.
+    """
     if diag_approx:
         dv = np.diag(V)
         if np.any(dv <= 0):
             raise SingularScatter("diagonal of V has non-positive entries")
         return np.einsum("ij,ij->i", diff, diff / dv)
-    try:
-        cho = scipy.linalg.cho_factor(V, lower=True, check_finite=False)
-    except scipy.linalg.LinAlgError as exc:
-        raise SingularScatter("scatter matrix is singular") from exc
-    solved = scipy.linalg.cho_solve(cho, diff.T, check_finite=False)
-    return np.einsum("ij,ji->i", diff, solved)
+    Linv, info = scipy.linalg.lapack.dtrtri(_cholesky(V), lower=1, overwrite_c=1)
+    if info != 0:
+        raise SingularScatter("Cholesky factor of the scatter matrix is singular")
+    z = diff @ Linv.T
+    np.square(z, out=z)
+    # a matrix-vector product sums rows of a few columns much faster than a
+    # reduction along axis 1 or einsum does
+    return z @ np.ones(z.shape[1])
 
 
 def mahalanobis(x, ls: LocationScatter) -> float:
@@ -268,8 +289,9 @@ def fit_sppca(
         the full-matrix distance computation fails.
 
     Returns a FitResult; non-convergence is flagged (``converged=False``),
-    not raised, so a whole solution path can be assembled.  EmptyActiveSet
-    and DegenerateStep propagate with the offending iteration index.
+    not raised, so a whole solution path can be assembled.  EmptyActiveSet,
+    DegenerateStep and SingularScatter propagate with the offending iteration
+    index in the message and in their ``iteration`` attribute.
     """
     if a <= 0:
         raise ValueError("a must be positive")
@@ -284,16 +306,28 @@ def fit_sppca(
     pi = data.effective_weights()
     mu, V = init.mu.copy(), init.V.copy()
     residual = np.inf
-    for it in range(1, opts.max_iter + 1):
-        try:
+    it = 0
+    try:
+        for it in range(1, opts.max_iter + 1):
             mu_new, V_new = _step(X, pi, mu, V, spec, opts.diag_approx, tau=tau)
-        except (EmptyActiveSet, DegenerateStep) as exc:
-            raise type(exc)(f"{exc} (iteration {it})") from exc
-        residual = _relative_change(mu_new, mu, V_new, V)
-        mu, V = mu_new, V_new
-        if residual <= opts.tol:
-            return _finish(data, mu, V, a, spec, opts, it, True, residual)
-    return _finish(data, mu, V, a, spec, opts, opts.max_iter, False, residual)
+            residual = _relative_change(mu_new, mu, V_new, V)
+            mu, V = mu_new, V_new
+            if residual <= opts.tol:
+                return _finish(data, mu, V, a, spec, opts, it, True, residual)
+        return _finish(data, mu, V, a, spec, opts, opts.max_iter, False, residual)
+    except (EmptyActiveSet, DegenerateStep, SingularScatter) as exc:
+        raise _at_iteration(exc, it) from exc
+
+
+def _at_iteration(exc, it: int):
+    """A copy of ``exc`` that names the iteration at which the fit failed.
+
+    Built here rather than in a local of the failing frame, which would tie
+    that frame, and its n-sized arrays, into a cycle with the traceback.
+    """
+    err = type(exc)(f"{exc} (iteration {it})")
+    err.iteration = it
+    return err
 
 
 def solution_set(
@@ -306,9 +340,9 @@ def solution_set(
     """One fit per grid scale, each cold-started at (mu_tilde, a * V_tilde).
 
     Failed fits (empty active set, degenerate step, singular scatter) are
-    recorded in-place with ``converged=False`` and the error message instead
-    of aborting the path.  Results are ordered by grid index regardless of
-    worker scheduling.
+    recorded in-place with ``converged=False``, the error message and the
+    iteration at which the fit failed, instead of aborting the path.
+    Results are ordered by grid index regardless of worker scheduling.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.size == 0:
@@ -328,7 +362,7 @@ def solution_set(
                 a=a,
                 active_mask=mask,
                 active_ratio=0.0,
-                iterations=0,
+                iterations=exc.iteration,
                 converged=False,
                 residual=np.inf,
                 error=f"{type(exc).__name__}: {exc}",

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.interpolate import make_smoothing_spline
 
-from .errors import GridNotFound
+from .errors import DegenerateStep, EmptyActiveSet, GridNotFound, SingularScatter
 from .estimator import DataSet, FitOptions, LocationScatter, fit_sppca, initial_estimate
 from .weights import WeightSpec
 
@@ -66,7 +66,7 @@ def _probe_ar(data, base, a, spec, opts, cache):
         init = LocationScatter(base.mu, a * base.V, diag_approx=opts.diag_approx)
         try:
             cache[a] = fit_sppca(data, a, init=init, spec=spec, opts=opts).active_ratio
-        except Exception:
+        except (EmptyActiveSet, DegenerateStep, SingularScatter):
             cache[a] = 0.0
     return cache[a]
 

@@ -1,3 +1,4 @@
+import gc
 import math
 
 import numpy as np
@@ -27,6 +28,7 @@ from robust_scatter.estimator import (
     TAU_SCALE_C1,
     TAU_SCALE_C2,
     TAU_SCALE_GAUSSIAN_CONSISTENCY,
+    squared_distances,
 )
 
 from conftest import gaussian_data
@@ -81,6 +83,65 @@ def test_mahalanobis_diagonal_mode():
     assert abs(mahalanobis(np.array([2.0, 1.0]), ls) - 2.0) < 1e-12
     ls_full = LocationScatter(np.zeros(2), V, diag_approx=False)
     assert mahalanobis(np.array([2.0, 1.0]), ls_full) != pytest.approx(2.0)
+
+
+# ------------------------------------------------------------ distance kernel
+
+
+def spd_matrix(p, rng):
+    A = rng.standard_normal((p, p))
+    V = A @ A.T / p + 0.5 * np.eye(p)
+    return 0.5 * (V + V.T)
+
+
+@pytest.mark.parametrize("p", [1, 3, 50])
+def test_full_distances_match_solve_reference(p):
+    rng = np.random.default_rng(p)
+    V = spd_matrix(p, rng)
+    diff = rng.standard_normal((200, p))
+    ref = np.einsum("ij,ij->i", diff, np.linalg.solve(V, diff.T).T)
+    d = squared_distances(diff, V, diag_approx=False)
+    assert np.allclose(d, ref, rtol=1e-12, atol=0.0)
+
+
+def test_full_distance_at_location_is_exactly_zero():
+    rng = np.random.default_rng(3)
+    mu = rng.standard_normal(4)
+    ls = LocationScatter(mu, spd_matrix(4, rng))
+    assert mahalanobis(mu, ls) == 0.0
+    d = squared_distances(np.zeros((3, 4)), ls.V, diag_approx=False)
+    assert np.all(d == 0.0)
+
+
+def test_full_distances_nonnegative_when_ill_conditioned():
+    rng = np.random.default_rng(12)
+    p = 10
+    Q, _ = np.linalg.qr(rng.standard_normal((p, p)))
+    V = (Q * np.logspace(0, -12, p)) @ Q.T
+    V = 0.5 * (V + V.T)
+    assert 1e11 < np.linalg.cond(V) < 1e13
+    # rows along the best-determined axis plus noise at the rounding level of
+    # the worst-determined one: the true distances are tiny for most rows
+    diff = np.vstack([
+        rng.standard_normal((500, p)),
+        rng.standard_normal((500, 1)) * Q[:, 0] + 1e-9 * rng.standard_normal((500, p)),
+    ])
+    assert np.all(squared_distances(diff, V, diag_approx=False) >= 0.0)
+
+
+def test_full_distances_reject_indefinite_scatter():
+    V = np.array([[1.0, 2.0], [2.0, 1.0]])
+    with pytest.raises(SingularScatter):
+        squared_distances(np.ones((3, 2)), V, diag_approx=False)
+
+
+def test_full_distances_equal_diagonal_mode_for_diagonal_scatter():
+    rng = np.random.default_rng(7)
+    V = np.diag(rng.uniform(0.1, 10.0, 6))
+    diff = rng.standard_normal((100, 6))
+    full = squared_distances(diff, V, diag_approx=False)
+    diag = squared_distances(diff, V, diag_approx=True)
+    assert np.allclose(full, diag, rtol=1e-14, atol=0.0)
 
 
 # ---------------------------------------------------------------- one step
@@ -241,7 +302,34 @@ def test_solution_set_records_failures(rng):
     X = gaussian_data(200, 4, rng=rng)
     path = solution_set(DataSet(X), [0.001, 4.0])
     assert path[0].error is not None and not path[0].converged
+    assert path[0].error.startswith("EmptyActiveSet")
+    assert path[0].iterations == 1 and "(iteration 1)" in path[0].error
     assert path[1].converged
+    # p > n: the first full-metric update is rank deficient, so the next
+    # distance evaluation cannot factor it
+    data = DataSet(0.22 * gaussian_data(30, 40, rng=rng))
+    (failed,) = solution_set(data, [40.0], opts=FULL)
+    assert failed.error.startswith("SingularScatter") and not failed.converged
+    assert failed.iterations >= 1
+    assert f"(iteration {failed.iterations})" in failed.error
+
+
+def test_failed_fit_leaves_no_reference_cycle(rng):
+    # the re-raised error must not tie the failing frames, and their n-sized
+    # arrays, into a cycle that only the garbage collector frees
+    data = DataSet(gaussian_data(200, 4, rng=rng))
+    gc.collect()
+    gc.disable()
+    try:
+        try:
+            fit_sppca(data, a=0.001)
+        except EmptyActiveSet as exc:
+            assert exc.iteration == 1
+        else:
+            pytest.fail("the fit did not fail")
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 # ------------------------------------------------------- robust initializer

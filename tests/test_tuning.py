@@ -83,6 +83,16 @@ def test_build_grid_not_found():
         build_grid(DataSet(X), ell=0.2, m=10)
 
 
+def test_build_grid_propagates_unexpected_errors(rng, monkeypatch):
+    # only the fit failures of the package count as AR = 0; a bug must surface
+    def broken_fit(*args, **kwargs):
+        raise TypeError("not a fit failure")
+
+    monkeypatch.setattr("robust_scatter.tuning.fit_sppca", broken_fit)
+    with pytest.raises(TypeError, match="not a fit failure"):
+        build_grid(DataSet(gaussian_data(50, 2, rng=rng)), m=10)
+
+
 def test_build_grid_validates_args(rng):
     data = DataSet(gaussian_data(50, 2, rng=rng))
     with pytest.raises(ValueError):
