@@ -35,7 +35,7 @@ from .estimator import (
     squared_distances,
 )
 from .simgen import METHODS, SimConfig, run_experiment
-from .tuning import ARCurve, build_grid, select_a_star, smooth_curve
+from .tuning import build_grid, select_a_star, smooth_curve
 from .weights import WeightSpec, weight
 
 
@@ -98,22 +98,17 @@ def cmd_tune(args) -> list[str]:
     data = load_csv(args.input, standardize=not args.no_standardize)
     spec, opts = _spec_opts(args)
     grid = build_grid(data, ell=args.ell, m=args.grid_size, spec=spec, opts=opts)
-    fits = [f for f in solution_set(data, grid, spec=spec, opts=opts, workers=args.threads)
-            if f.error is None]
-    if len(fits) < 4:
-        raise RobustScatterError("fewer than 4 usable fits on the tuning grid")
-    a = np.array([f.a for f in fits])
-    ar_raw = np.array([f.active_ratio for f in fits])
-    ar_smooth, slope = smooth_curve(a, ar_raw)
-    result = select_a_star(ARCurve(a, ar_raw, ar_smooth, slope))
+    path = solution_set(data, grid, spec=spec, opts=opts, workers=args.threads)
+    curve = smooth_curve(path)
+    result = select_a_star(curve)
 
     out_curve = os.path.join(args.out_dir, "ar_curve.json")
     out_tuning = os.path.join(args.out_dir, "tuning.json")
     _write_json(out_curve, {
-        "a": [float(v) for v in a],
-        "ar_raw": [float(v) for v in ar_raw],
-        "ar_smooth": [float(v) for v in ar_smooth],
-        "slope": [float(v) for v in slope],
+        "a": [float(v) for v in curve.grid],
+        "ar_raw": [float(v) for v in curve.ar_raw],
+        "ar_smooth": [float(v) for v in curve.ar_smooth],
+        "slope": [float(v) for v in curve.slope],
     })
     _write_json(out_tuning, {
         "a_star": result.a_star,

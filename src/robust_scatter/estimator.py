@@ -50,6 +50,10 @@ TAU_SCALE_GAUSSIAN_CONSISTENCY = 0.9616212311383993
 TAU_SCALE_C1 = 4.5
 TAU_SCALE_C2 = 3.0
 
+# The errors that mean one fit has failed, as opposed to bad input or a bug:
+# a path records them, and a grid probe reads them as AR = 0.
+FIT_FAILURES = (EmptyActiveSet, DegenerateStep, SingularScatter)
+
 
 @dataclass(frozen=True)
 class DataSet:
@@ -315,7 +319,7 @@ def fit_sppca(
             if residual <= opts.tol:
                 return _finish(data, mu, V, a, spec, opts, it, True, residual)
         return _finish(data, mu, V, a, spec, opts, opts.max_iter, False, residual)
-    except (EmptyActiveSet, DegenerateStep, SingularScatter) as exc:
+    except FIT_FAILURES as exc:
         raise _at_iteration(exc, it) from exc
 
 
@@ -355,7 +359,7 @@ def solution_set(
         init = LocationScatter(base.mu, a * base.V, diag_approx=opts.diag_approx)
         try:
             return fit_sppca(data, a, init=init, spec=spec, opts=opts)
-        except (EmptyActiveSet, DegenerateStep, SingularScatter) as exc:
+        except FIT_FAILURES as exc:
             mask = np.zeros(data.n, dtype=bool)
             return FitResult(
                 ls=init,

@@ -22,9 +22,10 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 import scipy.stats
 
+from .errors import RobustScatterError
 from .estimator import DataSet, FitOptions, fit_tme, pca, solution_set
 from .metrics import similarity_rho
-from .tuning import ARCurve, select_a_star, smooth_curve
+from .tuning import select_a_star, smooth_curve
 from .weights import WeightSpec
 
 DEFAULT_GRID_POINTS = 50
@@ -248,40 +249,28 @@ def _one_replicate(cfg, rep, methods, spec, opts, grid, workers):
     data, truth = gen_mixture(replace(cfg, seed=replicate_seed(cfg.seed, rep)))
     out: dict[str, float | None] = {}
     path = solution_set(data, grid, spec=spec, opts=opts, workers=workers)
-    ok = [f for f in path if f.error is None]
-    if len(ok) < 4:
-        return {m: None for m in methods}
-
-    rhos = {}
-    for f in ok:
-        model = pca(f.ls, cfg.k)
-        rhos[f.a] = similarity_rho(model.eigenvectors, truth.Gamma_k)
-
-    astar_fit = None
     try:
-        curve_grid = np.array([f.a for f in ok])
-        ar_raw = np.array([f.active_ratio for f in ok])
-        ar_smooth, slope = smooth_curve(curve_grid, ar_raw)
-        sel = select_a_star(ARCurve(curve_grid, ar_raw, ar_smooth, slope))
-        astar_fit = next(f for f in ok if f.a == sel.a_star)
-    except Exception:
-        astar_fit = None
+        curve = smooth_curve(path)
+    except RobustScatterError:  # fewer than 4 usable fits
+        return {m: None for m in methods}
+    sel = select_a_star(curve)
+
+    rhos = {f.a: similarity_rho(pca(f.ls, cfg.k).eigenvectors, truth.Gamma_k)
+            for f in path if f.error is None}
+    astar_fit = next(f for f in path if f.a == sel.a_star)
 
     if "sppca_astar" in methods:
-        out["sppca_astar"] = rhos[astar_fit.a] if astar_fit is not None else None
+        out["sppca_astar"] = rhos[sel.a_star]
     if "sppca_opt" in methods:
         out["sppca_opt"] = max(rhos.values())
     if "tme" in methods:
-        if astar_fit is None:
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                ls = fit_tme(data, astar_fit.ls.mu, opts=opts)
+            out["tme"] = similarity_rho(pca(ls, cfg.k).eigenvectors, truth.Gamma_k)
+        except (RobustScatterError, np.linalg.LinAlgError):
             out["tme"] = None
-        else:
-            try:
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore")
-                    ls = fit_tme(data, astar_fit.ls.mu, opts=opts)
-                out["tme"] = similarity_rho(pca(ls, cfg.k).eigenvectors, truth.Gamma_k)
-            except Exception:
-                out["tme"] = None
     return out
 
 

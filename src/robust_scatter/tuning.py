@@ -6,17 +6,25 @@ of scales it traces an increasing curve whose slope dips where the main data
 cloud has been absorbed but a secondary (contaminating) cloud has not yet
 entered; the selector returns the first strict local minimum of that slope,
 read from a cubic smoothing-spline fit of the curve.
+
+Tuning is three calls, the same for the CLI, the simulator and library use:
+
+    path = solution_set(data, build_grid(data))   # one fit per scale
+    curve = smooth_curve(path)                    # ARCurve of the usable fits
+    sel = select_a_star(curve)                    # TuningResult
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.interpolate import make_smoothing_spline
 
-from .errors import DegenerateStep, EmptyActiveSet, GridNotFound, SingularScatter
-from .estimator import DataSet, FitOptions, LocationScatter, fit_sppca, initial_estimate
+from .errors import GridNotFound, RobustScatterError
+from .estimator import (FIT_FAILURES, DataSet, FitOptions, FitResult, LocationScatter,
+                        fit_sppca, initial_estimate)
 from .weights import WeightSpec
 
 # scan range for grid-endpoint location, in units of p
@@ -43,8 +51,8 @@ class ARCurve:
             if arr.shape != (m,):
                 raise ValueError(f"{name} must have length {m}")
             object.__setattr__(self, name, arr)
-        if np.any(np.diff(g) <= 0):
-            raise ValueError("grid must be strictly increasing")
+        if not np.all(np.isfinite(g)) or np.any(np.diff(g) <= 0):
+            raise ValueError("grid must be finite and strictly increasing")
         for name in ("ar_raw", "ar_smooth"):
             arr = getattr(self, name)
             if np.any(arr < 0) or np.any(arr > 1):
@@ -66,7 +74,7 @@ def _probe_ar(data, base, a, spec, opts, cache):
         init = LocationScatter(base.mu, a * base.V, diag_approx=opts.diag_approx)
         try:
             cache[a] = fit_sppca(data, a, init=init, spec=spec, opts=opts).active_ratio
-        except (EmptyActiveSet, DegenerateStep, SingularScatter):
+        except FIT_FAILURES:
             cache[a] = 0.0
     return cache[a]
 
@@ -186,35 +194,32 @@ def _gcv_penalty(x, y, max_dof):
     return min(admissible, key=gcv)
 
 
-def smooth_curve(grid, ar_raw, lam: float | None = None):
-    """Cubic smoothing spline through the raw curve.
+def smooth_curve(path: Sequence[FitResult]) -> ARCurve:
+    """The active-ratio curve of a solution path, smoothed.
 
-    The penalty is chosen by generalized cross-validation unless ``lam`` is
-    supplied; the search is bounded so the smoother uses at most
-    min(8, m - 2) effective degrees of freedom, since active-ratio curves
-    are staircases with strongly dependent increments for which
-    unconstrained cross-validation degenerates to interpolation.  Returns
-    fitted values at the grid points (clipped into [0, 1]) and the spline's
-    analytic first derivative there.  For m == 4 the dof limit is the
-    least-squares line.  Raises ValueError unless the grid is finite and
-    strictly increasing.
+    Failed fits are dropped; the rest, in ascending order of scale as
+    ``solution_set`` returns them, give the grid and the raw curve.  A cubic smoothing spline is fitted through it with the
+    penalty chosen by generalized cross-validation, bounded so the smoother
+    uses at most min(8, m - 2) effective degrees of freedom, since
+    active-ratio curves are staircases with strongly dependent increments
+    for which unconstrained cross-validation degenerates to interpolation.
+    The curve holds the fitted values (clipped into [0, 1]) and the
+    spline's analytic first derivative at the grid points; with 4 usable
+    fits the dof limit is the least-squares line.  Raises
+    RobustScatterError when fewer than 4 fits are usable.
     """
-    x = np.asarray(grid, dtype=float)
-    y = np.asarray(ar_raw, dtype=float)
-    m = x.size
-    if m < 4:
-        raise ValueError("need at least 4 grid points to smooth")
-    if not np.all(np.isfinite(x)) or np.any(np.diff(x) <= 0):
-        raise ValueError("grid must be finite and strictly increasing")
-    if m < 5:  # scipy's spline needs at least 5 knots; 2-dof limit
+    fits = [f for f in path if f.error is None]
+    if len(fits) < 4:
+        raise RobustScatterError("fewer than 4 usable fits on the tuning grid")
+    x = np.array([f.a for f in fits], dtype=float)
+    y = np.array([f.active_ratio for f in fits], dtype=float)
+    if x.size < 5:  # scipy's spline needs at least 5 knots; 2-dof limit
         coef = np.polyfit(x, y, 1)
-        return np.clip(np.polyval(coef, x), 0.0, 1.0), np.full(m, coef[0])
-    if lam is None:
-        lam = _gcv_penalty(x, y, MAX_SMOOTHER_DOF)
-    spl = make_smoothing_spline(x, y, lam=lam)
-    fitted = np.clip(spl(x), 0.0, 1.0)
-    slope = spl.derivative()(x)
-    return fitted, slope
+        fitted, slope = np.polyval(coef, x), np.full(x.size, coef[0])
+    else:
+        spl = make_smoothing_spline(x, y, lam=_gcv_penalty(x, y, MAX_SMOOTHER_DOF))
+        fitted, slope = spl(x), spl.derivative()(x)
+    return ARCurve(x, y, np.clip(fitted, 0.0, 1.0), slope)
 
 
 def select_a_star(curve: ARCurve) -> TuningResult:

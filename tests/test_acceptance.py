@@ -12,7 +12,6 @@ import pytest
 import scipy.stats
 
 from robust_scatter import (
-    ARCurve,
     DataSet,
     FitOptions,
     LocationScatter,
@@ -283,11 +282,9 @@ def test_c7_change_point_recovery():
         cfg = SimConfig(n=250, p=20, k=5, nu=10.0, pi=0.2, c=4.0, seed=1000 + rep)
         data, _ = gen_separable_mixture(cfg)
         grid = build_grid(data, ell=0.2, m=50, spec=SPEC)
-        fits = [f for f in solution_set(data, grid, spec=SPEC) if f.error is None]
-        a = np.array([f.a for f in fits])
-        ar = np.array([f.active_ratio for f in fits])
-        sm, sl = smooth_curve(a, ar)
-        ars.append(select_a_star(ARCurve(a, ar, sm, sl)).ar_at_a_star)
+        path = solution_set(data, grid, spec=SPEC)
+        curve = smooth_curve(path)
+        ars.append(select_a_star(curve).ar_at_a_star)
     med = float(np.median(ars))
     report(7, 0.73 <= med <= 0.85,
            f"median tuned active ratio {med:.3f} within [0.73, 0.85] (clean fraction 0.8)")

@@ -4,6 +4,7 @@ import scipy.stats
 
 from robust_scatter import (
     SimConfig,
+    SingularScatter,
     gen_eigenvalues,
     gen_mixture,
     gen_separable_mixture,
@@ -204,3 +205,35 @@ def test_run_experiment_rejects_unknown_method():
     cfg = SimConfig(n=100, p=5, k=2, nu=10.0, pi=0.0, c=1.0, seed=1)
     with pytest.raises(ValueError):
         run_experiment(cfg, methods=("robpca",), replicates=1)
+
+
+def test_run_experiment_too_few_usable_fits_fails_every_method():
+    # three of the six scales trim every observation: no curve, no method
+    cfg = SimConfig(n=100, p=5, k=2, nu=10.0, pi=0.0, c=1.0, seed=1)
+    table = run_experiment(cfg, replicates=1, grid=[0.001, 0.002, 0.003, 5.0, 6.0, 7.0])
+    assert all(r["rho"] is None for r in table.replicates)
+    assert all(row["n_fail"] == 1 for row in table.rows)
+
+
+def test_run_experiment_records_tme_failure(monkeypatch):
+    def failing_tme(*args, **kwargs):
+        raise SingularScatter("baseline scatter is singular")
+
+    monkeypatch.setattr("robust_scatter.simgen.fit_tme", failing_tme)
+    cfg = SimConfig(n=100, p=5, k=2, nu=10.0, pi=0.0, c=1.0, seed=1)
+    table = run_experiment(cfg, replicates=1)
+    rho = {r["method"]: r["rho"] for r in table.replicates}
+    assert rho["tme"] is None
+    assert rho["sppca_astar"] is not None and rho["sppca_opt"] is not None
+
+
+def test_run_experiment_propagates_unexpected_tme_errors(monkeypatch):
+    # only the package's errors and LinAlgError make a failed tme replicate;
+    # a bug must surface
+    def broken_tme(*args, **kwargs):
+        raise TypeError("not a fit failure")
+
+    monkeypatch.setattr("robust_scatter.simgen.fit_tme", broken_tme)
+    cfg = SimConfig(n=100, p=5, k=2, nu=10.0, pi=0.0, c=1.0, seed=1)
+    with pytest.raises(TypeError, match="not a fit failure"):
+        run_experiment(cfg, methods=("tme",), replicates=1)

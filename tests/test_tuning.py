@@ -5,7 +5,10 @@ from robust_scatter import (
     ARCurve,
     DataSet,
     FitOptions,
+    FitResult,
     GridNotFound,
+    LocationScatter,
+    RobustScatterError,
     WeightSpec,
     build_grid,
     fit_sppca,
@@ -22,6 +25,15 @@ def make_curve(grid, slope):
     grid = np.asarray(grid, dtype=float)
     ar = np.linspace(0.3, 0.9, grid.size)
     return ARCurve(grid=grid, ar_raw=ar, ar_smooth=ar, slope=np.asarray(slope, dtype=float))
+
+
+def make_path(grid, ar):
+    """Converged path with prescribed scales and active ratios (the fitted
+    states are fillers)."""
+    ls = LocationScatter(np.zeros(1), np.eye(1))
+    return [FitResult(ls=ls, a=float(a), active_mask=np.ones(1, dtype=bool),
+                      active_ratio=float(r), iterations=1, converged=True, residual=0.0)
+            for a, r in zip(grid, ar)]
 
 
 # -------------------------------------------------------------- active ratio
@@ -106,58 +118,58 @@ def test_build_grid_validates_args(rng):
 
 def test_smooth_constant_curve():
     x = np.linspace(1.0, 9.0, 40)
-    fitted, slope = smooth_curve(x, np.full(40, 0.7))
-    assert np.max(np.abs(fitted - 0.7)) < 1e-8
-    assert np.max(np.abs(slope)) < 1e-8
+    curve = smooth_curve(make_path(x, np.full(40, 0.7)))
+    assert np.max(np.abs(curve.ar_smooth - 0.7)) < 1e-8
+    assert np.max(np.abs(curve.slope)) < 1e-8
 
 
 def test_smooth_linear_curve():
     x = np.linspace(0.0, 29.0, 30)
     y = 0.1 + 0.01 * np.arange(30)
-    fitted, slope = smooth_curve(x, y)
-    assert np.max(np.abs(slope - 0.01)) < 1e-6
-    assert np.max(np.abs(fitted - y)) < 1e-8
+    curve = smooth_curve(make_path(x, y))
+    assert np.max(np.abs(curve.slope - 0.01)) < 1e-6
+    assert np.max(np.abs(curve.ar_smooth - y)) < 1e-8
 
 
 def test_smooth_noisy_sigmoid(rng):
     x = np.linspace(0.0, 10.0, 60)
     truth = 1.0 / (1.0 + np.exp(-(x - 5.0)))
     y = np.clip(truth + 0.01 * rng.standard_normal(60), 0.0, 1.0)
-    fitted, _ = smooth_curve(x, y)
-    assert np.max(np.abs(fitted - truth)) <= 0.03
+    curve = smooth_curve(make_path(x, y))
+    assert np.max(np.abs(curve.ar_smooth - truth)) <= 0.03
 
 
-def test_smooth_requires_four_points():
-    with pytest.raises(ValueError):
-        smooth_curve(np.array([1.0, 2.0, 3.0]), np.array([0.1, 0.2, 0.3]))
+def test_smooth_requires_four_points(rng):
+    with pytest.raises(RobustScatterError, match="fewer than 4 usable fits"):
+        smooth_curve(make_path([1.0, 2.0, 3.0], [0.1, 0.2, 0.3]))
+    # the two tiny scales trim every observation; three usable fits remain
+    path = solution_set(DataSet(gaussian_data(200, 4, rng=rng)), [0.001, 0.002, 4.0, 5.0, 6.0])
+    assert [f.error is None for f in path] == [False, False, True, True, True]
+    assert all(f.error.startswith("EmptyActiveSet") for f in path[:2])
+    with pytest.raises(RobustScatterError, match="fewer than 4 usable fits"):
+        smooth_curve(path)
 
 
 def test_smooth_four_points_is_line():
     x = np.array([1.0, 2.0, 3.0, 4.0])
     y = np.array([0.1, 0.4, 0.2, 0.5])
-    fitted, slope = smooth_curve(x, y)
-    assert np.ptp(slope) < 1e-12  # 2-dof limit: a straight line
+    curve = smooth_curve(make_path(x, y))
+    assert np.ptp(curve.slope) < 1e-12  # 2-dof limit: a straight line
     coef = np.polyfit(x, y, 1)
-    assert np.allclose(fitted, np.polyval(coef, x), atol=1e-12)
+    assert np.allclose(curve.ar_smooth, np.polyval(coef, x), atol=1e-12)
 
 
-def test_smooth_rejects_bad_grid():
-    y = np.array([0.1, 0.2, 0.3, 0.5, 0.6])
-    with pytest.raises(ValueError, match="strictly increasing"):
-        smooth_curve(np.array([1.0, 2.0, 2.0, 3.0, 4.0]), y)
-    with pytest.raises(ValueError, match="strictly increasing"):
-        smooth_curve(np.array([1.0, 3.0, 2.0, 4.0, 5.0]), y)
-    with pytest.raises(ValueError, match="finite"):
-        smooth_curve(np.array([1.0, 2.0, 3.0, 4.0, np.inf]), y)
-
-
-def test_smooth_fixed_penalty_passthrough():
-    x = np.linspace(0.0, 1.0, 25)
-    y = np.sin(3 * x) * 0.3 + 0.5
-    fitted_hard, _ = smooth_curve(x, y, lam=1e6)
-    # enormous penalty forces the least-squares line
-    coef = np.polyfit(x, y, 1)
-    assert np.max(np.abs(fitted_hard - np.polyval(coef, x))) < 1e-3
+def test_smooth_drops_failed_fits(rng):
+    data = DataSet(gaussian_data(200, 4, rng=rng))
+    path = solution_set(data, [0.001, 0.002, 4.0, 5.0, 6.0, 7.0, 8.0])
+    good = [f for f in path if f.error is None]
+    assert len(good) == 5
+    curve = smooth_curve(path)
+    assert curve.grid.tolist() == [f.a for f in good]
+    assert curve.ar_raw.tolist() == [f.active_ratio for f in good]
+    clean = smooth_curve(good)
+    assert np.array_equal(curve.ar_smooth, clean.ar_smooth)
+    assert np.array_equal(curve.slope, clean.slope)
 
 
 # ------------------------------------------------------------- select_a_star
@@ -204,6 +216,16 @@ def test_select_deterministic():
     assert r1 == r2
 
 
+def test_curve_rejects_bad_grid():
+    y = np.array([0.1, 0.2, 0.3, 0.5, 0.6])
+    with pytest.raises(ValueError, match="strictly increasing"):
+        ARCurve(np.array([1.0, 2.0, 2.0, 3.0, 4.0]), y, y, np.zeros(5))
+    with pytest.raises(ValueError, match="strictly increasing"):
+        ARCurve(np.array([1.0, 3.0, 2.0, 4.0, 5.0]), y, y, np.zeros(5))
+    with pytest.raises(ValueError, match="finite"):
+        ARCurve(np.array([1.0, 2.0, 3.0, 4.0, np.inf]), y, y, np.zeros(5))
+
+
 def test_curve_validation():
     with pytest.raises(ValueError):
         ARCurve(np.array([1.0, 2.0]), np.array([0.5, 1.5]), np.array([0.5, 0.9]),
@@ -226,15 +248,13 @@ def test_tuned_scale_beats_full_absorption_on_separable_data():
     for rep in range(20):
         cfg = SimConfig(n=250, p=10, k=3, nu=10.0, pi=0.2, c=4.0, seed=4200 + rep)
         data, truth = gen_separable_mixture(cfg)
-        grid = build_grid(data, ell=0.2, m=50)
-        fits = [f for f in solution_set(data, grid) if f.error is None]
-        a = np.array([f.a for f in fits])
-        ar = np.array([f.active_ratio for f in fits])
-        sm, sl = smooth_curve(a, ar)
-        sel = select_a_star(ARCurve(a, ar, sm, sl))
-        star = next(f for f in fits if f.a == sel.a_star)
+        path = solution_set(data, build_grid(data, ell=0.2, m=50))
+        curve = smooth_curve(path)
+        sel = select_a_star(curve)
+        star = next(f for f in path if f.a == sel.a_star)
+        last = next(f for f in path if f.a == curve.grid[-1])
         tuned.append(similarity_rho(pca(star.ls, cfg.k).eigenvectors, truth.Gamma_k))
-        absorbed.append(similarity_rho(pca(fits[-1].ls, cfg.k).eigenvectors, truth.Gamma_k))
+        absorbed.append(similarity_rho(pca(last.ls, cfg.k).eigenvectors, truth.Gamma_k))
     assert np.median(tuned) > np.median(absorbed)
 
 
@@ -248,11 +268,9 @@ def test_tuned_ar_tracks_contamination_level():
         cfg = SimConfig(n=250, p=50, k=5, nu=10.0, pi=0.15, c=4.0, seed=2000 + rep)
         data, _ = gen_mixture(cfg)
         grid = np.linspace(0.2 * cfg.p, 3.0 * cfg.p, 50)
-        fits = [f for f in solution_set(data, grid) if f.error is None]
-        a = np.array([f.a for f in fits])
-        ar = np.array([f.active_ratio for f in fits])
-        sm, sl = smooth_curve(a, ar)
-        sel = select_a_star(ARCurve(a, ar, sm, sl))
+        path = solution_set(data, grid)
+        curve = smooth_curve(path)
+        sel = select_a_star(curve)
         ars.append(sel.ar_at_a_star)
     med = float(np.median(ars))
     assert 1 - 0.15 - 0.07 <= med <= 1 - 0.15 + 0.05
