@@ -98,7 +98,7 @@ def cmd_tune(args) -> list[str]:
     data = load_csv(args.input, standardize=not args.no_standardize)
     spec, opts = _spec_opts(args)
     grid = build_grid(data, ell=args.ell, m=args.grid_size, spec=spec, opts=opts)
-    path = solution_set(data, grid, spec=spec, opts=opts, workers=args.threads)
+    path = solution_set(data, grid, spec=spec, opts=opts)
     curve = smooth_curve(path)
     result = select_a_star(curve)
 
@@ -191,7 +191,7 @@ def cmd_simulate(args, parser) -> list[str]:
     spec, opts = _spec_opts(args)
     table = run_experiment(
         configs, methods=methods, replicates=args.replicates,
-        spec=spec, opts=opts, workers=args.threads,
+        spec=spec, opts=opts,
     )
     out_csv = os.path.join(args.out_dir, "experiment.csv")
     out_json = os.path.join(args.out_dir, "experiment.json")
@@ -207,8 +207,8 @@ def _add_common(sp, with_input=True):
     sp.add_argument("--tol", type=float, default=1e-8, help="solver tolerance")
     sp.add_argument("--max-iter", type=int, default=500, help="solver iteration cap")
     sp.add_argument("--threads", type=int, default=None,
-                    help="threads for the fits of one solution path "
-                         "(or env ROBUST_SCATTER_THREADS)")
+                    help="accepted for compatibility (or env ROBUST_SCATTER_THREADS); "
+                         "no longer changes the computation")
     sp.add_argument("--full-mahalanobis", action="store_true",
                     help="use the full scatter in distances instead of its diagonal")
     sp.add_argument("--no-standardize", action="store_true",
@@ -257,6 +257,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # still parsed, so existing scripts keep working; every fit runs in the
+    # calling thread whatever its value
     if args.threads is None:
         args.threads = int(os.environ.get("ROBUST_SCATTER_THREADS", "1"))
     os.makedirs(args.out_dir, exist_ok=True)

@@ -18,16 +18,18 @@ here as well.
 
 For stability at large p, squared distances can be computed against the
 diagonal of V instead of the full matrix (``diag_approx``, on by default).
-The scatter update itself always produces the full matrix.  Full-matrix
-distances are d_i = ||L^{-1}(x_i - mu)||^2 with V = L L^T: one Cholesky
-factor and one p x p triangular inverse per call, then one matrix product
-whitens all rows, and a sum of squares can never be negative.
+Under that metric (mu, diag V) is a closed iteration: the fits of a whole
+solution path iterate it together as a few matrix products per step, and
+each fit forms its full p x p scatter once, from the state its last step
+started from.  Full-matrix distances are d_i = ||L^{-1}(x_i - mu)||^2 with
+V = L L^T: one Cholesky factor and one p x p triangular inverse per call,
+then one matrix product whitens all rows, and a sum of squares can never be
+negative.
 """
 
 from __future__ import annotations
 
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -132,7 +134,11 @@ class LocationScatter:
 
 @dataclass(frozen=True)
 class FitResult:
-    """Converged (or flagged) state of one fixed-point run."""
+    """Converged (or flagged) state of one fixed-point run.
+
+    ``residual`` is the relative change of the last step: of (mu, diag V)
+    under the diagonal metric, of (mu, V) under the full one.
+    """
 
     ls: LocationScatter
     a: float
@@ -158,6 +164,10 @@ class FitOptions:
     tol: float = 1e-8
     max_iter: int = 500
     diag_approx: bool = True
+
+    def __post_init__(self):
+        if self.max_iter < 1:
+            raise ValueError("max_iter must be at least 1")
 
 
 def _cholesky(V: np.ndarray) -> np.ndarray:
@@ -185,7 +195,7 @@ def squared_distances(diff: np.ndarray, V: np.ndarray, diag_approx: bool) -> np.
         dv = np.diag(V)
         if np.any(dv <= 0):
             raise SingularScatter("diagonal of V has non-positive entries")
-        return np.einsum("ij,ij->i", diff, diff / dv)
+        return np.square(diff) @ (1.0 / dv)
     Linv, info = scipy.linalg.lapack.dtrtri(_cholesky(V), lower=1, overwrite_c=1)
     if info != 0:
         raise SingularScatter("Cholesky factor of the scatter matrix is singular")
@@ -239,13 +249,19 @@ def _step(X, pi, mu, V, spec, diag_approx, tau=0.0):
     swd = float(pw @ d)
     if swd <= 0.0:
         raise DegenerateStep("all active observations coincide with the location")
-    p = X.shape[1]
-    mu_new = (pw @ X) / sw
-    V_new = (p / swd) * (diff.T @ (diff * pw[:, None]))
-    V_new = 0.5 * (V_new + V_new.T)
+    return (pw @ X) / sw, _scatter(diff.T @ (diff * pw[:, None]), swd, tau)
+
+
+def _scatter(C, swd, tau):
+    """The scatter update p / swd * C from the weighted cross-product
+    C = sum_i pw_i (x_i - mu)(x_i - mu)^T about the previous location,
+    symmetrized, with its ``tau`` blend."""
+    p = C.shape[0]
+    V = (p / swd) * C
+    V = 0.5 * (V + V.T)
     if tau > 0.0:
-        V_new = V_new / (1.0 + tau) + (tau / (1.0 + tau)) * np.eye(p)
-    return mu_new, V_new
+        V = V / (1.0 + tau) + (tau / (1.0 + tau)) * np.eye(p)
+    return V
 
 
 def _relative_change(mu_new, mu, V_new, V) -> float:
@@ -254,9 +270,11 @@ def _relative_change(mu_new, mu, V_new, V) -> float:
     return max(r_mu, r_v)
 
 
-def _finish(data, mu, V, a, spec, opts, iterations, converged, residual) -> FitResult:
+def _finish(data, mu, V, a, spec, opts, iterations, converged, residual,
+            mask=None) -> FitResult:
     ls = LocationScatter(mu, V, diag_approx=opts.diag_approx)
-    mask = active_mask(data, ls, spec)
+    if mask is None:
+        mask = active_mask(data, ls, spec)
     pi = data.effective_weights()
     return FitResult(
         ls=ls,
@@ -292,10 +310,12 @@ def fit_sppca(
         definite when p > n, where the plain update is rank deficient and
         the full-matrix distance computation fails.
 
-    Returns a FitResult; non-convergence is flagged (``converged=False``),
-    not raised, so a whole solution path can be assembled.  EmptyActiveSet,
-    DegenerateStep and SingularScatter propagate with the offending iteration
-    index in the message and in their ``iteration`` attribute.
+    Under the diagonal metric the fit runs through the same batched kernel
+    as a solution path (a path of one scale).  Returns a FitResult;
+    non-convergence is flagged (``converged=False``), not raised, so a whole
+    solution path can be assembled.  EmptyActiveSet, DegenerateStep and
+    SingularScatter are raised with the offending iteration index in the
+    message and in their ``iteration`` attribute.
     """
     if a <= 0:
         raise ValueError("a must be positive")
@@ -306,6 +326,26 @@ def fit_sppca(
         init = LocationScatter(base.mu, a * base.V, diag_approx=opts.diag_approx)
     elif init.diag_approx != opts.diag_approx:
         init = LocationScatter(init.mu, init.V, diag_approx=opts.diag_approx)
+    if opts.diag_approx:
+        (fit,) = _diag_fits(data, [a], init.mu, np.diag(init.V)[None, :], spec, opts, tau)
+    else:
+        fit = _full_fit(data, a, init, spec, opts, tau)
+    if isinstance(fit, FitResult):
+        return fit
+    raise _fit_error(*fit)
+
+
+def _fit_error(cls, message: str, it: int):
+    """The error of a fit that failed at iteration ``it`` (0: before the
+    first step), naming the iteration in its message and attribute."""
+    err = cls(f"{message} (iteration {it})")
+    err.iteration = it
+    return err
+
+
+def _full_fit(data, a, init, spec, opts, tau):
+    """Full-metric fixed-point iteration from ``init``: a FitResult, or
+    ``(error class, message, iteration)`` for a failed fit."""
     X = data.X
     pi = data.effective_weights()
     mu, V = init.mu.copy(), init.V.copy()
@@ -313,25 +353,113 @@ def fit_sppca(
     it = 0
     try:
         for it in range(1, opts.max_iter + 1):
-            mu_new, V_new = _step(X, pi, mu, V, spec, opts.diag_approx, tau=tau)
+            mu_new, V_new = _step(X, pi, mu, V, spec, False, tau=tau)
             residual = _relative_change(mu_new, mu, V_new, V)
             mu, V = mu_new, V_new
             if residual <= opts.tol:
                 return _finish(data, mu, V, a, spec, opts, it, True, residual)
         return _finish(data, mu, V, a, spec, opts, opts.max_iter, False, residual)
     except FIT_FAILURES as exc:
-        raise _at_iteration(exc, it) from exc
+        return type(exc), str(exc), it
 
 
-def _at_iteration(exc, it: int):
-    """A copy of ``exc`` that names the iteration at which the fit failed.
+def _diag_distances(Z, M, v):
+    """n x b squared diagonal-metric distances of the rows from b locations.
 
-    Built here rather than in a local of the failing frame, which would tie
-    that frame, and its n-sized arrays, into a cycle with the traceback.
+    ``Z = [Xc * Xc, Xc]`` holds the centred rows and their squares, the
+    locations and scatter diagonals are the rows of M and v.  The expanded
+    form sum_j (x_j^2 - 2 x_j m_j + m_j^2) / v_j is one matrix product; its
+    rounding can fall just below 0 where the direct form gives 0, so it is
+    clamped there.
     """
-    err = type(exc)(f"{exc} (iteration {it})")
-    err.iteration = it
-    return err
+    inv = 1.0 / v
+    d = Z @ np.hstack([inv, -2.0 * M * inv]).T
+    d += np.sum(M * M * inv, axis=1)
+    return np.maximum(d, 0.0, out=d)
+
+
+def _diag_fits(data, scales, mu0, v0, spec, opts, tau=0.0) -> list:
+    """Diagonal-metric fits from (mu0, diag v0[j]), one per scale, iterated
+    together.
+
+    Under the diagonal metric (mu, diag V) is a closed iteration, so the
+    live fits are the rows of M and v, and one pass steps all of them:
+
+        d   = every row's distance from every location (``_diag_distances``)
+        W   = pi * weight(d)
+        mu' = W^T X / sum W
+        v'  = p / sum(W * d) * (W^T (X * X) - 2 M * W^T X + M^2 * sum W)
+
+    or its ``tau`` blend, with the rows centred at ``mu0`` to keep the
+    expanded form's cancellation small.  A fit leaves the block when
+    (mu, diag V) moves by at most ``opts.tol`` relative, when it fails, or
+    at ``opts.max_iter``.  Only then is its full p x p scatter formed, as
+    the update ``_step`` makes from the state that pass started from (in
+    the same expanded form, with that pass's weights), so a fit of k
+    iterations is exactly k applications of the map; its active set comes
+    from the same distance kernel.  Each entry of the result is a FitResult
+    or, for a failed fit, ``(error class, message, iteration)``.
+    """
+    n, p = data.X.shape
+    pi = data.effective_weights()
+    Z = np.empty((n, 2 * p))
+    Xc = Z[:, p:]
+    np.subtract(data.X, mu0, out=Xc)
+    np.square(Xc, out=Z[:, :p])
+    M = np.zeros_like(v0)  # locations, relative to mu0
+    v = np.array(v0, dtype=float)
+    live = np.arange(len(v))  # the fits of the rows of M and v
+    ends: list = [None] * len(v)
+    for it in range(1, opts.max_iter + 1):
+        bad = np.any(v <= 0.0, axis=1)
+        if bad.any():
+            for j in np.flatnonzero(bad):
+                ends[live[j]] = (SingularScatter, "diagonal of V has non-positive entries", it)
+            M, v, live = M[~bad], v[~bad], live[~bad]
+            if not live.size:
+                break
+        d = _diag_distances(Z, M, v)
+        W = weight(d, spec)
+        W *= pi[:, None]
+        sw = W.sum(axis=0)
+        swd = np.einsum("ij,ij->j", W, d)
+        del d  # n x block: free it before the full scatters below
+        bad = (sw <= 0.0) | (swd <= 0.0)
+        if bad.any():
+            for j in np.flatnonzero(bad):
+                ends[live[j]] = (
+                    (EmptyActiveSet, "all observations have zero weight", it) if sw[j] <= 0.0
+                    else (DegenerateStep, "all active observations coincide with the location", it)
+                )
+            M, v, live, W, sw, swd = M[~bad], v[~bad], live[~bad], W[:, ~bad], sw[~bad], swd[~bad]
+            if not live.size:
+                break
+        S = W.T @ Z
+        S2, S1 = S[:, :p], S[:, p:]
+        mu_new = S1 / sw[:, None]
+        v_new = (p / swd)[:, None] * (S2 - 2.0 * M * S1 + M * M * sw[:, None])
+        if tau > 0.0:
+            v_new = v_new / (1.0 + tau) + tau / (1.0 + tau)
+        r_mu = np.linalg.norm(mu_new - M, axis=1) / (1.0 + np.linalg.norm(M + mu0, axis=1))
+        r_v = np.linalg.norm(v_new - v, axis=1) / (1.0 + np.linalg.norm(v, axis=1))
+        residual = np.maximum(r_mu, r_v)
+        done = (residual <= opts.tol) | (it == opts.max_iter)
+        W = W[:, done]  # only the fits that end now need their weights again
+        for k, j in enumerate(np.flatnonzero(done)):
+            m, s1 = M[j], S1[j]
+            C = Xc.T @ (Xc * W[:, k:k + 1]) - np.outer(m, s1) - np.outer(s1, m)
+            V = _scatter(C + sw[j] * np.outer(m, m), swd[j], tau)
+            mask = weight(_diag_distances(Z, mu_new[j:j + 1], np.diag(V)[None, :]), spec) > 0
+            try:
+                ends[live[j]] = _finish(data, mu_new[j] + mu0, V, scales[live[j]], spec,
+                                        opts, it, bool(residual[j] <= opts.tol),
+                                        float(residual[j]), mask[:, 0])
+            except SingularScatter as exc:
+                ends[live[j]] = (type(exc), str(exc), it)
+        M, v, live = mu_new[~done], v_new[~done], live[~done]
+        if not live.size:
+            break
+    return ends
 
 
 def solution_set(
@@ -339,14 +467,17 @@ def solution_set(
     grid,
     spec: WeightSpec = WeightSpec(),
     opts: FitOptions = FitOptions(),
-    workers: int = 1,
 ) -> list[FitResult]:
     """One fit per grid scale, each cold-started at (mu_tilde, a * V_tilde).
 
+    Under the diagonal metric the scales run through one batched iteration
+    in blocks of at most p, so its n x block temporaries are never larger
+    than the data; each fit is the one ``fit_sppca`` returns at its scale,
+    up to rounding.  Under the full metric the fits run one after another.
     Failed fits (empty active set, degenerate step, singular scatter) are
-    recorded in-place with ``converged=False``, the error message and the
+    recorded in place with ``converged=False``, the error message and the
     iteration at which the fit failed, instead of aborting the path.
-    Results are ordered by grid index regardless of worker scheduling.
+    Results are in grid order.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.size == 0:
@@ -355,27 +486,35 @@ def solution_set(
         raise ValueError("grid must be strictly increasing")
     base = initial_estimate(data)  # raises before any fit on degenerate data
 
-    def run(a: float) -> FitResult:
-        init = LocationScatter(base.mu, a * base.V, diag_approx=opts.diag_approx)
-        try:
-            return fit_sppca(data, a, init=init, spec=spec, opts=opts)
-        except FIT_FAILURES as exc:
-            mask = np.zeros(data.n, dtype=bool)
-            return FitResult(
-                ls=init,
-                a=a,
-                active_mask=mask,
-                active_ratio=0.0,
-                iterations=exc.iteration,
-                converged=False,
-                residual=np.inf,
-                error=f"{type(exc).__name__}: {exc}",
-            )
+    def init(a):
+        return LocationScatter(base.mu, a * base.V, diag_approx=opts.diag_approx)
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(run, grid))
-    return [run(a) for a in grid]
+    if opts.diag_approx:
+        dv = np.diag(base.V)
+        fits = []
+        for lo in range(0, grid.size, data.p):
+            block = grid[lo:lo + data.p]
+            fits += _diag_fits(data, block, base.mu, block[:, None] * dv, spec, opts)
+    else:
+        fits = [_full_fit(data, a, init(a), spec, opts, 0.0) for a in grid]
+    return [fit if isinstance(fit, FitResult) else _failed_fit(data, a, init(a), fit)
+            for a, fit in zip(grid, fits)]
+
+
+def _failed_fit(data, a, init, failure) -> FitResult:
+    """The path entry of a fit that failed: its initial state, AR 0 and the
+    error."""
+    err = _fit_error(*failure)
+    return FitResult(
+        ls=init,
+        a=a,
+        active_mask=np.zeros(data.n, dtype=bool),
+        active_ratio=0.0,
+        iterations=err.iteration,
+        converged=False,
+        residual=np.inf,
+        error=f"{type(err).__name__}: {err}",
+    )
 
 
 def tau_scale(x: np.ndarray) -> float:
@@ -463,14 +602,15 @@ def fit_tme(
 def pca(ls: LocationScatter, k: int) -> PCAModel:
     """Top-k eigenpairs of the scatter, descending, sign-normalized.
 
-    Sign convention: each eigenvector's largest-magnitude entry is positive.
+    Only the top k eigenpairs are computed.  Sign convention: each
+    eigenvector's largest-magnitude entry is positive.
     """
     p = ls.p
     if not 1 <= k <= p:
         raise ValueError(f"k must be in [1, {p}], got {k}")
-    vals, vecs = np.linalg.eigh(ls.V)
-    order = np.argsort(vals)[::-1]
-    vals, vecs = vals[order][:k], vecs[:, order][:, :k]
+    # LocationScatter has checked that V is finite
+    vals, vecs = scipy.linalg.eigh(ls.V, subset_by_index=[p - k, p - 1], check_finite=False)
+    vals, vecs = vals[::-1], vecs[:, ::-1]
     for j in range(k):
         i = int(np.argmax(np.abs(vecs[:, j])))
         if vecs[i, j] < 0:

@@ -244,11 +244,11 @@ def _default_grid(p: int) -> np.ndarray:
     return np.linspace(lo * p, hi * p, DEFAULT_GRID_POINTS)
 
 
-def _one_replicate(cfg, rep, methods, spec, opts, grid, workers):
+def _one_replicate(cfg, rep, methods, spec, opts, grid):
     """Similarities for all requested methods on one seeded draw."""
     data, truth = gen_mixture(replace(cfg, seed=replicate_seed(cfg.seed, rep)))
     out: dict[str, float | None] = {}
-    path = solution_set(data, grid, spec=spec, opts=opts, workers=workers)
+    path = solution_set(data, grid, spec=spec, opts=opts)
     try:
         curve = smooth_curve(path)
     except RobustScatterError:  # fewer than 4 usable fits
@@ -281,7 +281,6 @@ def run_experiment(
     spec: WeightSpec = WeightSpec(),
     opts: FitOptions = FitOptions(),
     grid: np.ndarray | None = None,
-    workers: int = 1,
 ) -> ExperimentTable:
     """Mean and standard error of the subspace similarity per config and
     method over seeded replicates.
@@ -290,11 +289,9 @@ def run_experiment(
     the path element with the best similarity (an oracle, for reference
     only), and ``tme`` the unweighted baseline at the tuned location.
     Per-replicate seeds derive from (config seed, replicate index), so any
-    replicate can be reproduced in isolation.  ``workers`` threads run the
-    fits of each replicate's solution path; the table is identical for any
-    worker count.  Replicates with failed fits are excluded per method
-    and counted; a config-method cell failing more than 20% of replicates is
-    flagged invalid.
+    replicate can be reproduced in isolation.  Replicates with failed fits
+    are excluded per method and counted; a config-method cell failing more
+    than 20% of replicates is flagged invalid.
     """
     if isinstance(configs, SimConfig):
         configs = [configs]
@@ -307,7 +304,7 @@ def run_experiment(
     rows, rep_rows = [], []
     for cfg in configs:
         g = _default_grid(cfg.p) if grid is None else np.asarray(grid, dtype=float)
-        results = [_one_replicate(cfg, rep, methods, spec, opts, g, workers)
+        results = [_one_replicate(cfg, rep, methods, spec, opts, g)
                    for rep in range(replicates)]
 
         for rep, res in enumerate(results):

@@ -32,6 +32,9 @@ _SCAN_LO = 0.05
 _SCAN_HI = 50.0
 _SCAN_POINTS = 25
 _BISECT_REL_TOL = 0.01
+# the grid ends at the scan's highest AR, which must be at least 1 - delta: a
+# few far points that no scale on the scan absorbs do not stop tuning
+_TOP_AR_DELTA = 0.005
 
 
 @dataclass(frozen=True)
@@ -97,13 +100,16 @@ def build_grid(
     spec: WeightSpec = WeightSpec(),
     opts: FitOptions = FitOptions(),
 ):
-    """Equally spaced scale grid spanning AR values from ``ell`` up to 1.
+    """Equally spaced scale grid spanning AR values from ``ell`` up to the
+    highest AR of the scan.
 
-    Locates a_min = min{a : AR(a) >= ell} and a_max = min{a : AR(a) = 1} by a
-    coarse geometric scan over [0.05 p, 50 p] followed by bisection to 1%
-    relative precision (every probe is a full fit), then returns ``m``
-    equally spaced points on [a_min, a_max].  ``m`` defaults to n/5 rounded,
-    with a floor of 10.
+    A coarse geometric scan over [0.05 p, 50 p] gives AR at 25 scales; its
+    highest value, top, is 1 on data without far outliers.  Bisection to 1%
+    relative precision (every probe is a full fit) then locates
+    a_min = min{a : AR(a) >= ell} and a_max = min{a : AR(a) >= top}, and
+    ``m`` equally spaced points on [a_min, a_max] are returned.  ``m``
+    defaults to n/5 rounded, with a floor of 10.  Raises GridNotFound when
+    the scan never reaches ``ell`` or when top is below 1 - 0.005.
     """
     if not 0.0 < ell < 1.0:
         raise ValueError("ell must be in (0, 1)")
@@ -127,13 +133,15 @@ def build_grid(
         a_min = _bisect_crossing(data, base, scan[idx_min - 1], scan[idx_min], ell,
                                  spec, opts, cache)
 
-    idx_max = next((i for i, v in enumerate(ars) if v >= full), None)
-    if idx_max is None:
-        raise GridNotFound(f"AR never reached 1 on the scan range [{scan[0]:g}, {scan[-1]:g}]")
+    top = min(max(ars), full)
+    if top < 1.0 - _TOP_AR_DELTA:
+        raise GridNotFound(f"AR never reached {1.0 - _TOP_AR_DELTA:g} on the scan range "
+                           f"[{scan[0]:g}, {scan[-1]:g}]; its highest value is {top:g}")
+    idx_max = next(i for i, v in enumerate(ars) if v >= top)
     if idx_max == 0:
         a_max = scan[0]
     else:
-        a_max = _bisect_crossing(data, base, scan[idx_max - 1], scan[idx_max], full,
+        a_max = _bisect_crossing(data, base, scan[idx_max - 1], scan[idx_max], top,
                                  spec, opts, cache)
 
     if not a_max > a_min:

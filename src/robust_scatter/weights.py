@@ -61,7 +61,10 @@ def weight(u, spec: WeightSpec = WeightSpec()):
     if spec.kind == UNIT:
         out = np.ones_like(u)
     else:
-        out = np.where(u < spec.cutoff, np.exp(-u), 0.0)
+        # in place: a block of distances costs one array of weights
+        out = np.empty_like(u)
+        np.exp(np.negative(u, out=out), out=out)
+        out[~(u < spec.cutoff)] = 0.0
     return out if out.ndim else float(out)
 
 

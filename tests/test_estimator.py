@@ -28,6 +28,8 @@ from robust_scatter.estimator import (
     TAU_SCALE_C1,
     TAU_SCALE_C2,
     TAU_SCALE_GAUSSIAN_CONSISTENCY,
+    _diag_distances,
+    active_mask,
     squared_distances,
 )
 
@@ -51,6 +53,11 @@ def test_dataset_validation():
         DataSet(CROSS, obs_weights=np.array([-0.5, 0.5, 0.5, 0.5]))
     data = DataSet(CROSS)
     assert np.allclose(data.effective_weights(), 0.25)
+
+
+def test_fit_options_need_one_iteration():
+    with pytest.raises(ValueError, match="max_iter"):
+        FitOptions(max_iter=0)
 
 
 def test_location_scatter_validation():
@@ -175,6 +182,19 @@ def test_step_degenerate():
         one_step(data, cur)
 
 
+def test_diag_kernel_fails_like_full_metric_loop():
+    # the batched diagonal iteration raises the same errors, at the same
+    # iteration, as the full-metric loop
+    cases = ((DataSet(np.zeros((3, 2))), DegenerateStep, "coincide with the location"),
+             (DataSet(CROSS + 10.0), EmptyActiveSet, "zero weight"))
+    for data, err, text in cases:
+        for diag in (False, True):
+            init = LocationScatter(np.zeros(2), np.eye(2), diag_approx=diag)
+            with pytest.raises(err, match=text + r".*\(iteration 1\)") as info:
+                fit_sppca(data, a=1.0, init=init, opts=FitOptions(diag_approx=diag))
+            assert info.value.iteration == 1
+
+
 def test_step_uses_previous_location_in_scatter():
     rng = np.random.default_rng(5)
     data = DataSet(rng.standard_normal((50, 2)) + 3.0)
@@ -219,6 +239,19 @@ def test_fit_convergence_from_robust_init(rng):
     assert fit.converged
     assert fit.iterations <= 500
     assert fit.residual <= 1e-8
+
+
+def test_diag_residual_is_relative_change_of_location_and_diagonal(rng):
+    # under the diagonal metric a fit's residual is the relative change of
+    # (mu, diag V) in its last step, relative to the previous absolute state
+    data = DataSet(gaussian_data(300, 3, rng=rng) + 20.0)
+    prev = fit_sppca(data, 3.0, opts=FitOptions(max_iter=3)).ls
+    last = fit_sppca(data, 3.0, opts=FitOptions(max_iter=4))
+    assert not last.converged and last.iterations == 4
+    dv_prev, dv = np.diag(prev.V), np.diag(last.ls.V)
+    r_mu = np.linalg.norm(last.ls.mu - prev.mu) / (1.0 + np.linalg.norm(prev.mu))
+    r_v = np.linalg.norm(dv - dv_prev) / (1.0 + np.linalg.norm(dv_prev))
+    assert last.residual == pytest.approx(max(r_mu, r_v), rel=1e-6)
 
 
 @pytest.mark.parametrize("diag_approx", [False, True])
@@ -287,14 +320,40 @@ def test_solution_set_ar_nondecreasing(rng):
     assert np.all(np.diff(ar) >= -2.0 / n)
 
 
-def test_solution_set_workers_match_serial(rng):
-    data = DataSet(gaussian_data(300, 3, rng=rng))
-    grid = np.linspace(1.0, 9.0, 5)
-    serial = solution_set(data, grid, workers=1)
-    threaded = solution_set(data, grid, workers=4)
-    for f1, f2 in zip(serial, threaded):
-        assert np.array_equal(f1.ls.V, f2.ls.V)
-        assert f1.active_ratio == f2.active_ratio
+def test_solution_set_columns_match_single_fits(rng):
+    # 20 scales at p = 5 run as four blocks of the batched iteration; each
+    # column is the fit of its scale on its own
+    p = 5
+    data = DataSet(gaussian_data(400, p, V=np.diag([5.0, 4.0, 3.0, 2.0, 1.0]), rng=rng))
+    path = solution_set(data, np.linspace(0.2 * p, 3.0 * p, 20))
+    assert all(f.converged for f in path)
+    for f in path:
+        single = fit_sppca(data, f.a)
+        assert np.array_equal(f.active_mask, single.active_mask)
+        assert np.array_equal(f.active_mask, active_mask(data, f.ls, WeightSpec()))
+        assert np.abs(f.ls.V - single.ls.V).max() <= 1e-10 * np.abs(single.ls.V).max()
+        assert np.abs(f.ls.mu - single.ls.mu).max() <= 1e-10 * (1.0 + np.abs(single.ls.mu).max())
+
+
+def test_diag_distances_match_direct_form(rng):
+    # the expanded form against the direct one, on standardized data
+    n, p = 500, 20
+    X = gaussian_data(n, p, V=np.diag(np.linspace(0.5, 4.0, p)), rng=rng) + 0.3
+    X = (X - X.mean(axis=0)) / X.std(axis=0, ddof=1)
+    center = np.median(X, axis=0)
+    Xc = X - center
+    Z = np.hstack([Xc * Xc, Xc])
+    M = 0.2 * rng.standard_normal((7, p))
+    v = rng.uniform(0.2, 5.0, (7, p))
+    d = _diag_distances(Z, M, v)
+    assert d.shape == (n, 7) and np.all(d >= 0.0)
+    for j in range(7):
+        direct = squared_distances(Xc - M[j], np.diag(v[j]), True)
+        np.testing.assert_allclose(d[:, j], direct, rtol=1e-12)
+    # a row at the location: cancellation may leave a rounding residue, never
+    # a negative distance
+    (at_mu,) = _diag_distances(Z[:1], Xc[:1], v[:1]).ravel()
+    assert 0.0 <= at_mu <= 1e-12 * float(np.sum(Xc[0] ** 2 / v[0]) + 1.0)
 
 
 def test_solution_set_records_failures(rng):
@@ -475,6 +534,19 @@ def test_pca_reconstruction(rng):
     recon = (model.eigenvectors * model.eigenvalues) @ model.eigenvectors.T
     assert np.allclose(recon, V, atol=1e-10)
     assert np.all(np.diff(model.eigenvalues) <= 0)
+
+
+def test_pca_top_k_matches_full_decomposition(rng):
+    p, k = 30, 4
+    A = rng.standard_normal((p, p))
+    ls = LocationScatter(np.zeros(p), A @ A.T + 0.1 * np.eye(p))
+    vals, vecs = np.linalg.eigh(ls.V)
+    model = pca(ls, k)
+    np.testing.assert_allclose(model.eigenvalues, vals[::-1][:k], rtol=1e-12)
+    for j in range(k):
+        ref = vecs[:, p - 1 - j]
+        ref = ref if ref[np.argmax(np.abs(ref))] > 0 else -ref
+        np.testing.assert_allclose(model.eigenvectors[:, j], ref, atol=1e-10)
 
 
 def test_pca_k_out_of_range():

@@ -173,10 +173,10 @@ def test_run_experiment_single_row():
     assert 0.0 <= row["mean_rho"] <= 1.0
 
 
-def test_run_experiment_deterministic_and_worker_independent(tmp_path):
+def test_run_experiment_deterministic(tmp_path):
     cfg = SimConfig(n=100, p=5, k=2, nu=10.0, pi=0.1, c=3.0, seed=77)
-    t1 = run_experiment(cfg, replicates=3, workers=1)
-    t2 = run_experiment(cfg, replicates=3, workers=4)
+    t1 = run_experiment(cfg, replicates=3)
+    t2 = run_experiment(cfg, replicates=3)
     assert t1.rows == t2.rows
     assert t1.replicates == t2.replicates
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"

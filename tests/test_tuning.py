@@ -95,6 +95,18 @@ def test_build_grid_not_found():
         build_grid(DataSet(X), ell=0.2, m=10)
 
 
+def test_build_grid_ends_at_top_scan_ar():
+    # one far outlier in 1001 rows keeps AR at 1000/1001, within 0.005 of 1:
+    # the grid ends where the scan's highest AR is first reached
+    rng = np.random.default_rng(0)
+    X = np.vstack([rng.standard_normal((1000, 2)), np.full((1, 2), 1e9)])
+    data = DataSet(X)
+    grid = build_grid(data, ell=0.2, m=10)
+    assert grid.size == 10 and np.all(np.diff(grid) > 0)
+    assert fit_sppca(data, grid[0]).active_ratio >= 0.2 - 2.0 / data.n
+    assert fit_sppca(data, grid[-1]).active_ratio == pytest.approx(1000 / 1001)
+
+
 def test_build_grid_propagates_unexpected_errors(rng, monkeypatch):
     # only the fit failures of the package count as AR = 0; a bug must surface
     def broken_fit(*args, **kwargs):
