@@ -207,14 +207,12 @@ def _add_common(sp, with_input=True):
     sp.add_argument("--tol", type=float, default=1e-8, help="solver tolerance")
     sp.add_argument("--max-iter", type=int, default=500, help="solver iteration cap")
     sp.add_argument("--threads", type=int, default=None,
-                    help="accepted for compatibility (or env ROBUST_SCATTER_THREADS); "
-                         "no longer changes the computation")
+                    help="accepted for compatibility; no longer changes the computation")
     sp.add_argument("--full-mahalanobis", action="store_true",
                     help="use the full scatter in distances instead of its diagonal")
     sp.add_argument("--no-standardize", action="store_true",
                     help="skip per-column standardization of input CSV")
     sp.add_argument("--out-dir", default=".", help="output directory")
-    sp.add_argument("--seed", type=int, default=0, help="base random seed")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -241,6 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         sp = sub.add_parser(name, help=f"{name} the estimator over a config grid")
         _add_common(sp, with_input=False)
+        sp.add_argument("--seed", type=int, default=0, help="base random seed")
         sp.add_argument("--n", default=defaults["n"], help="comma list of sample sizes")
         sp.add_argument("--p", default=defaults["p"], help="comma list of dimensions")
         sp.add_argument("--k", dest="k_list", default=defaults["k_list"],
@@ -257,10 +256,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    # still parsed, so existing scripts keep working; every fit runs in the
-    # calling thread whatever its value
-    if args.threads is None:
-        args.threads = int(os.environ.get("ROBUST_SCATTER_THREADS", "1"))
     os.makedirs(args.out_dir, exist_ok=True)
     try:
         if args.command == "tune":

@@ -56,6 +56,10 @@ TAU_SCALE_C2 = 3.0
 # a path records them, and a grid probe reads them as AR = 0.
 FIT_FAILURES = (EmptyActiveSet, DegenerateStep, SingularScatter)
 
+# Entries must square to a finite number: the distances and the scatter
+# update form x^2, and an infinite square times a zero weight is NaN.
+MAX_ABS_ENTRY = float(np.sqrt(np.finfo(float).max))
+
 
 @dataclass(frozen=True)
 class DataSet:
@@ -74,6 +78,10 @@ class DataSet:
             raise ValueError(f"need n >= 2 and p >= 1, got shape {X.shape}")
         if not np.all(np.isfinite(X)):
             raise ValueError("X contains non-finite entries")
+        largest = np.abs(X).max()
+        if largest >= MAX_ABS_ENTRY:
+            raise ValueError(f"X has an entry of magnitude {largest:g}; entries must be "
+                             f"below {MAX_ABS_ENTRY:.4g} so that their squares are finite")
         object.__setattr__(self, "X", X)
         if self.obs_weights is not None:
             w = np.asarray(self.obs_weights, dtype=float)
@@ -530,11 +538,12 @@ def tau_scale(x: np.ndarray) -> float:
     s0 = np.median(np.abs(x - med))
     if s0 < 1e-12:
         return 0.0
-    z = (x - med) / s0
-    wloc = np.where(np.abs(z) <= TAU_SCALE_C1, (1.0 - (z / TAU_SCALE_C1) ** 2) ** 2, 0.0)
+    # both weights clip before squaring, so far points cannot overflow
+    u = np.minimum(np.abs(x - med) / s0 / TAU_SCALE_C1, 1.0)
+    wloc = (1.0 - u**2) ** 2
     mu = float(wloc @ x) / float(wloc.sum())
-    r2 = ((x - mu) / s0) ** 2
-    raw = s0 * np.sqrt(np.mean(np.minimum(r2, TAU_SCALE_C2**2)))
+    r = np.minimum(np.abs(x - mu) / s0, TAU_SCALE_C2)
+    raw = s0 * np.sqrt(np.mean(r**2))
     return float(raw) / TAU_SCALE_GAUSSIAN_CONSISTENCY
 
 

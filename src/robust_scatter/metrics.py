@@ -387,21 +387,18 @@ def empirical_if(
         base = unit_scale_fit(reference, spec=spec, opts=opts)
 
     if weight(mahalanobis(x, base.ls), spec) == 0.0:
-        if functional == "location":
-            return np.zeros(reference.p)
-        if functional == "eigvec":
-            return np.zeros(reference.p)
-        return 0.0
+        return 0.0 if functional == "eigratio" else np.zeros(reference.p)
 
     pi = reference.effective_weights()
 
-    def extract(fit: FitResult):
+    def value(fit: FitResult):
+        """The functional at ``fit``: mu, lambda_j / lambda_i or gamma_j."""
         if functional == "location":
             return fit.ls.mu
         lam, gam = _normalized_eigen(fit)
-        if functional == "eigratio":
-            return lam[j] / lam[i]
-        return lam, gam
+        return lam[j] / lam[i] if functional == "eigratio" else gam[:, j]
+
+    base_val = value(base)
 
     def quotient(e: float):
         perturbed = DataSet(
@@ -411,19 +408,10 @@ def empirical_if(
         fit = fit_sppca(perturbed, a=base.a, init=base.ls, spec=spec, opts=opts)
         if not fit.converged:
             raise ValueError("perturbed refit did not converge")
-        if functional == "location":
-            return (fit.ls.mu - base.ls.mu) / e
-        if functional == "eigratio":
-            return (extract(fit) - base_val) / e
-        lam, gam = extract(fit)
-        v = gam[:, j] if gam[:, j] @ base_vec >= 0 else -gam[:, j]
-        return (v - base_vec) / e
-
-    if functional == "eigratio":
-        base_val = extract(base)
-    elif functional == "eigvec":
-        _, base_gam = _normalized_eigen(base)
-        base_vec = base_gam[:, j]
+        val = value(fit)
+        if functional == "eigvec" and val @ base_val < 0:
+            val = -val  # an eigenvector has no sign: take the base's
+        return (val - base_val) / e
 
     result = quotient(eps)
     if linearity_tol is not None:

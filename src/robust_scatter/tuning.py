@@ -24,7 +24,7 @@ from scipy.interpolate import make_smoothing_spline
 
 from .errors import GridNotFound, RobustScatterError
 from .estimator import (FIT_FAILURES, DataSet, FitOptions, FitResult, LocationScatter,
-                        fit_sppca, initial_estimate)
+                        fit_sppca, initial_estimate, solution_set)
 from .weights import WeightSpec
 
 # scan range for grid-endpoint location, in units of p
@@ -71,22 +71,20 @@ class TuningResult:
     ar_at_a_star: float
 
 
-def _probe_ar(data, base, a, spec, opts, cache):
-    """AR of a full fit at scale ``a``; failed fits count as AR = 0."""
-    if a not in cache:
-        init = LocationScatter(base.mu, a * base.V, diag_approx=opts.diag_approx)
-        try:
-            cache[a] = fit_sppca(data, a, init=init, spec=spec, opts=opts).active_ratio
-        except FIT_FAILURES:
-            cache[a] = 0.0
-    return cache[a]
+def _bisect_crossing(data, base, lo, hi, level, spec, opts):
+    """Smallest scale in (lo, hi] with AR >= level, to 1% relative precision.
 
-
-def _bisect_crossing(data, base, lo, hi, level, spec, opts, cache):
-    """Smallest scale in (lo, hi] with AR >= level, to 1% relative precision."""
+    Each probe is a full fit from (mu_tilde, a * V_tilde); a failed fit
+    counts as AR = 0.
+    """
     while hi - lo > _BISECT_REL_TOL * lo:
         mid = 0.5 * (lo + hi)
-        if _probe_ar(data, base, mid, spec, opts, cache) >= level:
+        init = LocationScatter(base.mu, mid * base.V, diag_approx=opts.diag_approx)
+        try:
+            ar = fit_sppca(data, mid, init=init, spec=spec, opts=opts).active_ratio
+        except FIT_FAILURES:
+            ar = 0.0
+        if ar >= level:
             hi = mid
         else:
             lo = mid
@@ -103,9 +101,10 @@ def build_grid(
     """Equally spaced scale grid spanning AR values from ``ell`` up to the
     highest AR of the scan.
 
-    A coarse geometric scan over [0.05 p, 50 p] gives AR at 25 scales; its
+    A coarse geometric scan over [0.05 p, 50 p] gives AR at 25 scales: it
+    is one ``solution_set`` path, on which a failed fit has AR 0.  Its
     highest value, top, is 1 on data without far outliers.  Bisection to 1%
-    relative precision (every probe is a full fit) then locates
+    relative precision (every probe is a full ``fit_sppca`` fit) then locates
     a_min = min{a : AR(a) >= ell} and a_max = min{a : AR(a) >= top}, and
     ``m`` equally spaced points on [a_min, a_max] are returned.  ``m``
     defaults to n/5 rounded, with a floor of 10.  Raises GridNotFound when
@@ -121,8 +120,7 @@ def build_grid(
     full = 1.0 - 1e-12
     base = initial_estimate(data)  # errors on degenerate data before any probe
     scan = np.geomspace(_SCAN_LO * p, _SCAN_HI * p, _SCAN_POINTS)
-    cache: dict[float, float] = {}
-    ars = [_probe_ar(data, base, a, spec, opts, cache) for a in scan]
+    ars = [f.active_ratio for f in solution_set(data, scan, spec=spec, opts=opts)]
 
     idx_min = next((i for i, v in enumerate(ars) if v >= ell), None)
     if idx_min is None:
@@ -131,7 +129,7 @@ def build_grid(
         a_min = scan[0]
     else:
         a_min = _bisect_crossing(data, base, scan[idx_min - 1], scan[idx_min], ell,
-                                 spec, opts, cache)
+                                 spec, opts)
 
     top = min(max(ars), full)
     if top < 1.0 - _TOP_AR_DELTA:
@@ -142,7 +140,7 @@ def build_grid(
         a_max = scan[0]
     else:
         a_max = _bisect_crossing(data, base, scan[idx_max - 1], scan[idx_max], top,
-                                 spec, opts, cache)
+                                 spec, opts)
 
     if not a_max > a_min:
         raise GridNotFound(f"degenerate grid range [{a_min:g}, {a_max:g}]")

@@ -1,5 +1,6 @@
 import csv
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -9,8 +10,9 @@ import pytest
 
 jsonschema = pytest.importorskip("jsonschema")
 
+import robust_scatter
 from robust_scatter import EmptyData
-from robust_scatter.cli import load_csv, main
+from robust_scatter.cli import build_parser, load_csv, main
 
 SCHEMAS = Path(__file__).resolve().parents[1] / "docs" / "schemas"
 
@@ -230,10 +232,14 @@ def test_cli_entry_point_subprocess(tmp_path):
     src = tmp_path / "data.csv"
     write_gaussian_csv(src, n=100, p=3, seed=8)
     out = tmp_path / "out"
+    # the child imports the same package as this process, installed or not
+    root = str(Path(robust_scatter.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [root, env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "robust_scatter.cli", "fit", str(src), "--a", "3.0",
          "--k", "1", "--out-dir", str(out)],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=env,
     )
     assert proc.returncode == 0, proc.stderr
     assert (out / "model.json").exists()
@@ -253,7 +259,19 @@ def test_cmd_benchmark_with_overrides(tmp_path):
 def test_cli_env_thread_fallback(tmp_path, monkeypatch):
     src = tmp_path / "data.csv"
     write_gaussian_csv(src, n=100, p=3, seed=10)
-    monkeypatch.setenv("ROBUST_SCATTER_THREADS", "2")
+    # the variable is no longer read, so even a value that is not a number
+    # leaves the run alone
+    monkeypatch.setenv("ROBUST_SCATTER_THREADS", "abc")
     out = tmp_path / "out"
     assert main(["tune", str(src), "--grid-size", "10", "--out-dir", str(out)]) == 0
     assert (out / "tuning.json").exists()
+
+
+def test_cli_seed_only_for_simulation():
+    parser = build_parser()
+    assert parser.parse_args(["benchmark", "--seed", "3"]).seed == 3
+    assert parser.parse_args(["simulate", "--seed", "4"]).seed == 4
+    for cmd in ("tune", "fit"):
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args([cmd, "x.csv", "--seed", "1"])
+        assert exc.value.code == 2

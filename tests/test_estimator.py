@@ -25,6 +25,7 @@ from robust_scatter import (
     tau_scale,
 )
 from robust_scatter.estimator import (
+    MAX_ABS_ENTRY,
     TAU_SCALE_C1,
     TAU_SCALE_C2,
     TAU_SCALE_GAUSSIAN_CONSISTENCY,
@@ -53,6 +54,21 @@ def test_dataset_validation():
         DataSet(CROSS, obs_weights=np.array([-0.5, 0.5, 0.5, 0.5]))
     data = DataSet(CROSS)
     assert np.allclose(data.effective_weights(), 0.25)
+
+
+def test_dataset_rejects_entries_whose_square_overflows(rng):
+    # x^2 must be finite: above sqrt(float max) a far row's infinite square
+    # times its zero weight turned every diagonal fit into EmptyActiveSet
+    X = gaussian_data(200, 3, rng=rng)
+    below = np.nextafter(MAX_ABS_ENTRY, 0.0)
+    for big in (1e150, below, -below):
+        X[0, 0] = big
+        fit = fit_sppca(DataSet(X), 3.0)
+        assert fit.converged and not fit.active_mask[0]
+    for big in (MAX_ABS_ENTRY, 1e155, -1e155):
+        X[0, 0] = big
+        with pytest.raises(ValueError, match="must be below 1.341e\\+154"):
+            DataSet(X)
 
 
 def test_fit_options_need_one_iteration():

@@ -108,11 +108,22 @@ def test_build_grid_ends_at_top_scan_ar():
 
 
 def test_build_grid_propagates_unexpected_errors(rng, monkeypatch):
-    # only the fit failures of the package count as AR = 0; a bug must surface
+    # only the fit failures of the package count as AR = 0; a bug in a
+    # bisection probe must surface
     def broken_fit(*args, **kwargs):
         raise TypeError("not a fit failure")
 
     monkeypatch.setattr("robust_scatter.tuning.fit_sppca", broken_fit)
+    with pytest.raises(TypeError, match="not a fit failure"):
+        build_grid(DataSet(gaussian_data(50, 2, rng=rng)), m=10)
+
+
+def test_build_grid_scan_propagates_unexpected_errors(rng, monkeypatch):
+    # the scan is a solution path: a bug in it surfaces too, it is not AR = 0
+    def broken_weight(*args, **kwargs):
+        raise TypeError("not a fit failure")
+
+    monkeypatch.setattr("robust_scatter.estimator.weight", broken_weight)
     with pytest.raises(TypeError, match="not a fit failure"):
         build_grid(DataSet(gaussian_data(50, 2, rng=rng)), m=10)
 
