@@ -15,6 +15,7 @@ from .errors import (
     EmptyActiveSet,
     EmptyData,
     GridNotFound,
+    OracleFailure,
     RobustScatterError,
     SingularScatter,
 )

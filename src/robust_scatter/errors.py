@@ -33,5 +33,11 @@ class DegenerateSpectrum(RobustScatterError):
     """Eigenvalues are too close for the requested eigen-quantity."""
 
 
+class OracleFailure(RobustScatterError):
+    """A unit-scale search or a perturbed influence-oracle refit failed to
+    reach its target: the search did not converge or its scatter collapsed,
+    or the refit did not converge."""
+
+
 class EmptyData(RobustScatterError):
     """Input table contains no data rows."""

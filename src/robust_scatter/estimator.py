@@ -23,8 +23,11 @@ solution path iterate it together as a few matrix products per step, and
 each fit forms its full p x p scatter once, from the state its last step
 started from.  Full-matrix distances are d_i = ||L^{-1}(x_i - mu)||^2 with
 V = L L^T: one Cholesky factor and one p x p triangular inverse per call,
-then one matrix product whitens all rows, and a sum of squares can never be
-negative.
+then one matrix product whitens all observations, and a sum of squares can
+never be negative.  The full-metric iteration holds the observations as
+the columns of a p x n copy of X^T, with two p x n work arrays (centred,
+whitened) beside it, all allocated once per fit, so each step's
+element-wise work runs along n and allocates no n x p temporary.
 """
 
 from __future__ import annotations
@@ -193,25 +196,38 @@ def _cholesky(V: np.ndarray) -> np.ndarray:
 def squared_distances(diff: np.ndarray, V: np.ndarray, diag_approx: bool) -> np.ndarray:
     """Row-wise (x - mu)^T V^{-1} (x - mu) for pre-centered rows ``diff``.
 
-    With ``diag_approx`` only the diagonal of V enters.  Otherwise V = L L^T
-    is factored, the p x p factor is inverted, and the rows are whitened in
-    one product z = diff L^{-T}; each distance is the sum of the squares of a
-    row of z, so it is nonnegative by construction (and exactly 0 for a zero
-    row).  Raises SingularScatter when V is not positive definite.
+    With ``diag_approx`` only the diagonal of V enters.  Otherwise the rows
+    go through the full-metric kernel (``_full_distances``) as the columns
+    of ``diff.T``, a view, so any layout is accepted; the distances are
+    nonnegative by construction (and exactly 0 for a zero row).  Raises
+    SingularScatter when V is not positive definite.
     """
     if diag_approx:
         dv = np.diag(V)
         if np.any(dv <= 0):
             raise SingularScatter("diagonal of V has non-positive entries")
         return np.square(diff) @ (1.0 / dv)
+    D = np.asarray(diff).T
+    return _full_distances(D, V, np.empty(D.shape))
+
+
+def _full_distances(D: np.ndarray, V: np.ndarray, Z: np.ndarray) -> np.ndarray:
+    """Squared full-metric distances of the columns of the p x n array D.
+
+    The one full-metric kernel: V = L L^T is factored, the p x p factor is
+    inverted, and one product whitens every column, Z = L^{-1} D, into the
+    caller's p x n work array Z.  Each distance is the sum of the squares of
+    a column of Z, so it can never be negative.  Raises SingularScatter when
+    V is not positive definite.
+    """
     Linv, info = scipy.linalg.lapack.dtrtri(_cholesky(V), lower=1, overwrite_c=1)
     if info != 0:
         raise SingularScatter("Cholesky factor of the scatter matrix is singular")
-    z = diff @ Linv.T
-    np.square(z, out=z)
-    # a matrix-vector product sums rows of a few columns much faster than a
-    # reduction along axis 1 or einsum does
-    return z @ np.ones(z.shape[1])
+    np.matmul(Linv, D, out=Z)
+    np.square(Z, out=Z)
+    # summing the p rows with a matrix-vector product keeps the inner loops
+    # n long
+    return np.ones(Z.shape[0]) @ Z
 
 
 def mahalanobis(x, ls: LocationScatter) -> float:
@@ -238,26 +254,26 @@ def in_ball(x, ls: LocationScatter, spec: WeightSpec = WeightSpec()) -> bool:
     return mahalanobis(x, ls) < spec.cutoff
 
 
-def active_mask(data: DataSet, ls: LocationScatter, spec: WeightSpec) -> np.ndarray:
-    """Boolean mask of observations with positive weight under ``ls``."""
-    if spec.kind == UNIT:
-        return np.ones(data.n, dtype=bool)
-    return squared_distances(data.X - ls.mu, ls.V, ls.diag_approx) < spec.cutoff
+def _step(XT, pi, mu, V, spec, diag_approx, tau, D, Z):
+    """One application of the fixed-point map to the observations, the
+    columns of the p x n array XT; returns (mu_new, V_new).
 
-
-def _step(X, pi, mu, V, spec, diag_approx, tau=0.0):
-    """One application of the fixed-point map; returns (mu_new, V_new)."""
-    diff = X - mu
-    d = squared_distances(diff, V, diag_approx)
-    w = weight(d, spec)
-    pw = pi * w
+    D and Z are p x n work arrays: D receives the columns of XT centred at
+    mu, and Z the whitened columns (under the full metric), then the
+    weighted ones.  Their contents on entry are ignored.
+    """
+    np.subtract(XT, mu[:, None], out=D)
+    d = squared_distances(D.T, V, True) if diag_approx else _full_distances(D, V, Z)
+    pw = weight(d, spec)
+    pw *= pi
     sw = pw.sum()
     if sw <= 0.0:
         raise EmptyActiveSet("all observations have zero weight")
     swd = float(pw @ d)
     if swd <= 0.0:
         raise DegenerateStep("all active observations coincide with the location")
-    return (pw @ X) / sw, _scatter(diff.T @ (diff * pw[:, None]), swd, tau)
+    np.multiply(D, pw, out=Z)
+    return (XT @ pw) / sw, _scatter(Z @ D.T, swd, tau)
 
 
 def _scatter(C, swd, tau):
@@ -278,11 +294,7 @@ def _relative_change(mu_new, mu, V_new, V) -> float:
     return max(r_mu, r_v)
 
 
-def _finish(data, mu, V, a, spec, opts, iterations, converged, residual,
-            mask=None) -> FitResult:
-    ls = LocationScatter(mu, V, diag_approx=opts.diag_approx)
-    if mask is None:
-        mask = active_mask(data, ls, spec)
+def _finish(data, ls, a, iterations, converged, residual, mask) -> FitResult:
     pi = data.effective_weights()
     return FitResult(
         ls=ls,
@@ -353,20 +365,36 @@ def _fit_error(cls, message: str, it: int):
 
 def _full_fit(data, a, init, spec, opts, tau):
     """Full-metric fixed-point iteration from ``init``: a FitResult, or
-    ``(error class, message, iteration)`` for a failed fit."""
-    X = data.X
+    ``(error class, message, iteration)`` for a failed fit.
+
+    The iteration runs on the data as columns: a contiguous copy of X^T and
+    two p x n work arrays (the centred and the whitened observations) are
+    allocated once per fit and reused by every step and by the final active
+    set, so a step allocates only a few n-vectors and its element-wise
+    loops run over n, not p.
+    """
+    XT = np.ascontiguousarray(data.X.T)
     pi = data.effective_weights()
+    D = np.empty((data.p, data.n))
+    Z = np.empty_like(D)
     mu, V = init.mu.copy(), init.V.copy()
     residual = np.inf
     it = 0
     try:
         for it in range(1, opts.max_iter + 1):
-            mu_new, V_new = _step(X, pi, mu, V, spec, False, tau=tau)
+            mu_new, V_new = _step(XT, pi, mu, V, spec, False, tau, D, Z)
             residual = _relative_change(mu_new, mu, V_new, V)
             mu, V = mu_new, V_new
             if residual <= opts.tol:
-                return _finish(data, mu, V, a, spec, opts, it, True, residual)
-        return _finish(data, mu, V, a, spec, opts, opts.max_iter, False, residual)
+                break
+        ls = LocationScatter(mu, V)
+        # the active set is the trimming ball of the final state (in_ball)
+        if spec.kind == UNIT:
+            mask = np.ones(data.n, dtype=bool)
+        else:
+            np.subtract(XT, mu[:, None], out=D)
+            mask = _full_distances(D, V, Z) < spec.cutoff
+        return _finish(data, ls, a, it, bool(residual <= opts.tol), residual, mask)
     except FIT_FAILURES as exc:
         return type(exc), str(exc), it
 
@@ -459,9 +487,10 @@ def _diag_fits(data, scales, mu0, v0, spec, opts, tau=0.0) -> list:
             V = _scatter(C + sw[j] * np.outer(m, m), swd[j], tau)
             mask = weight(_diag_distances(Z, mu_new[j:j + 1], np.diag(V)[None, :]), spec) > 0
             try:
-                ends[live[j]] = _finish(data, mu_new[j] + mu0, V, scales[live[j]], spec,
-                                        opts, it, bool(residual[j] <= opts.tol),
-                                        float(residual[j]), mask[:, 0])
+                ls = LocationScatter(mu_new[j] + mu0, V, diag_approx=True)
+                ends[live[j]] = _finish(data, ls, scales[live[j]], it,
+                                        bool(residual[j] <= opts.tol), float(residual[j]),
+                                        mask[:, 0])
             except SingularScatter as exc:
                 ends[live[j]] = (type(exc), str(exc), it)
         M, v, live = mu_new[~done], v_new[~done], live[~done]
@@ -636,7 +665,7 @@ def estimating_equation_residual(
     relative change; at an exact solution both components are zero.
     """
     ls = fit.ls
-    mu_new, V_new = _step(
-        data.X, data.effective_weights(), ls.mu, ls.V, spec, ls.diag_approx
-    )
+    D = np.empty((data.p, data.n))
+    mu_new, V_new = _step(data.X.T, data.effective_weights(), ls.mu, ls.V, spec,
+                          ls.diag_approx, 0.0, D, np.empty_like(D))
     return _relative_change(mu_new, ls.mu, V_new, ls.V)

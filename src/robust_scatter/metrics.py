@@ -20,7 +20,7 @@ import numpy as np
 import scipy.integrate
 import scipy.linalg
 
-from .errors import DegenerateSpectrum
+from .errors import DegenerateSpectrum, OracleFailure
 from .estimator import (
     DataSet,
     FitOptions,
@@ -295,7 +295,9 @@ def unit_scale_fit(
     The initialization scale controls the determinant of the converged
     scatter nearly multiplicatively, so a secant iteration on log a against
     log |V(a)|^(1/p) finds the requested member of the solution family in a
-    handful of cold-started fits.  The default target is unit scale.
+    handful of cold-started fits, all from one robust initial estimate.  The
+    default target is unit scale.  Raises OracleFailure when the search does
+    not converge in 30 secant steps or a fitted scatter collapses.
     """
     if opts is None:
         opts = FitOptions(tol=1e-10, max_iter=2000, diag_approx=False)
@@ -305,10 +307,12 @@ def unit_scale_fit(
     log_target = math.log(target_scale)
 
     def g(log_a):
-        fit = fit_sppca(reference, math.exp(log_a), spec=spec, opts=opts)
+        a = math.exp(log_a)
+        init = LocationScatter(base.mu, a * base.V, diag_approx=opts.diag_approx)
+        fit = fit_sppca(reference, a, init=init, spec=spec, opts=opts)
         sign, logdet = np.linalg.slogdet(fit.ls.V)
         if sign <= 0:
-            raise ValueError("scatter collapsed during unit-scale search")
+            raise OracleFailure("scatter collapsed during unit-scale search")
         return fit, logdet / p - log_target
 
     x0 = math.log(a_hint) if a_hint is not None else log_target - log_det_init
@@ -325,7 +329,7 @@ def unit_scale_fit(
         x0, g0 = x1, g1
         x1 = x1 - step
         fit1, g1 = g(x1)
-    raise ValueError(f"scale search did not converge (|log det|/p = {abs(g1):.2e})")
+    raise OracleFailure(f"scale search did not converge (|log det|/p = {abs(g1):.2e})")
 
 
 def _normalized_eigen(fit: FitResult):
@@ -370,7 +374,8 @@ def empirical_if(
     deflation cancels between numerators and denominators), so the perturbed
     solution on this branch equals the base solution identically and the
     quotient is returned as exact zero rather than re-deriving it through
-    the solver's last-ulp noise.
+    the solver's last-ulp noise.  Raises OracleFailure when a perturbed refit
+    does not converge.
     """
     if not 0.0 < eps <= 0.01:
         raise ValueError("eps must be in (0, 0.01]")
@@ -407,7 +412,7 @@ def empirical_if(
         )
         fit = fit_sppca(perturbed, a=base.a, init=base.ls, spec=spec, opts=opts)
         if not fit.converged:
-            raise ValueError("perturbed refit did not converge")
+            raise OracleFailure("perturbed refit did not converge")
         val = value(fit)
         if functional == "eigvec" and val @ base_val < 0:
             val = -val  # an eigenvector has no sign: take the base's

@@ -30,9 +30,9 @@ from robust_scatter.estimator import (
     TAU_SCALE_C2,
     TAU_SCALE_GAUSSIAN_CONSISTENCY,
     _diag_distances,
-    active_mask,
     squared_distances,
 )
+from robust_scatter.weights import UNIT
 
 from conftest import gaussian_data
 
@@ -167,6 +167,19 @@ def test_full_distances_equal_diagonal_mode_for_diagonal_scatter():
     assert np.allclose(full, diag, rtol=1e-14, atol=0.0)
 
 
+def test_full_distances_of_transposed_view_match_contiguous_rows():
+    rng = np.random.default_rng(9)
+    V = spd_matrix(4, rng)
+    cols = rng.standard_normal((4, 300))  # observations as columns
+    diff = cols.T  # a non-contiguous view of the rows
+    assert not diff.flags.c_contiguous
+    d = squared_distances(diff, V, diag_approx=False)
+    ref = squared_distances(np.ascontiguousarray(diff), V, diag_approx=False)
+    assert np.allclose(d, ref, rtol=1e-13, atol=0.0)
+    solve = np.einsum("ij,ij->i", diff, np.linalg.solve(V, cols).T)
+    assert np.allclose(d, solve, rtol=1e-12, atol=0.0)
+
+
 # ---------------------------------------------------------------- one step
 
 
@@ -295,6 +308,70 @@ def test_permutation_equivariance(rng):
     assert np.allclose(fit_p.ls.V, fit.ls.V[np.ix_(perm, perm)], rtol=1e-7, atol=1e-9)
 
 
+def reference_full_fit(data, mu, V, spec, opts, tau):
+    """The full-metric fixed point as a plain loop over rows, with distances
+    from ``np.linalg.solve``: (mu, V, iterations, converged, mask)."""
+    X, pi = data.X, data.effective_weights()
+    n, p = X.shape
+
+    def distances(mu, V):
+        diff = X - mu
+        return diff, np.einsum("ij,ij->i", diff, np.linalg.solve(V, diff.T).T)
+
+    converged = False
+    for it in range(1, opts.max_iter + 1):
+        diff, d = distances(mu, V)
+        w = np.ones(n) if spec.kind == UNIT else np.where(d < spec.cutoff, np.exp(-d), 0.0)
+        pw = pi * w
+        mu_new = (pw @ X) / pw.sum()
+        V_new = p / (pw @ d) * (diff.T @ (diff * pw[:, None]))
+        V_new = 0.5 * (V_new + V_new.T)
+        if tau > 0.0:
+            V_new = V_new / (1.0 + tau) + tau / (1.0 + tau) * np.eye(p)
+        r = max(np.linalg.norm(mu_new - mu) / (1.0 + np.linalg.norm(mu)),
+                np.linalg.norm(V_new - V) / (1.0 + np.linalg.norm(V)))
+        mu, V = mu_new, V_new
+        if r <= opts.tol:
+            converged = True
+            break
+    mask = np.ones(n, dtype=bool) if spec.kind == UNIT else distances(mu, V)[1] < spec.cutoff
+    return mu, V, it, converged, mask
+
+
+@pytest.mark.parametrize("variant", ["plain", "obs_weights", "tau", "unit"])
+@pytest.mark.parametrize("p", [1, 3, 50])
+def test_full_fit_matches_row_layout_reference(p, variant):
+    rng = np.random.default_rng(100 + p)
+    n = 8 * p + 200
+    X = gaussian_data(n, p, V=np.diag(np.linspace(3.0, 1.0, p)), rng=rng)
+    if variant == "tau":
+        # an identity anchor needs a fixed point of scale O(1) (see
+        # test_regularized_rescues_p_greater_than_n)
+        X *= 0.25
+    X += 1.0
+    obs = None
+    if variant == "obs_weights":
+        obs = rng.uniform(0.5, 1.5, n)
+        obs /= obs.sum()
+    data = DataSet(X, obs_weights=obs)
+    spec = WeightSpec(kind=UNIT) if variant == "unit" else WeightSpec()
+    tau = 0.3 if variant == "tau" else 0.0
+    a = 0.5 * p  # small enough that the hard threshold trims
+    base = initial_estimate(data)
+    # a fit stopped after two steps, far from the fixed point, and a converged one
+    for max_iter in (2, 500):
+        opts = FitOptions(tol=1e-9, max_iter=max_iter, diag_approx=False)
+        fit = fit_sppca(data, a, spec=spec, opts=opts, tau=tau)
+        mu, V, iters, converged, mask = reference_full_fit(data, base.mu, a * base.V, spec,
+                                                           opts, tau)
+        assert fit.converged == converged
+        assert fit.iterations == iters
+        assert np.linalg.norm(fit.ls.mu - mu) <= 1e-12 * np.linalg.norm(mu)
+        assert np.linalg.norm(fit.ls.V - V) <= 1e-12 * np.linalg.norm(V)
+        assert np.array_equal(fit.active_mask, mask)
+    assert converged
+
+
 # ----------------------------------------------------------- solution paths
 
 
@@ -346,7 +423,8 @@ def test_solution_set_columns_match_single_fits(rng):
     for f in path:
         single = fit_sppca(data, f.a)
         assert np.array_equal(f.active_mask, single.active_mask)
-        assert np.array_equal(f.active_mask, active_mask(data, f.ls, WeightSpec()))
+        d = squared_distances(data.X - f.ls.mu, f.ls.V, diag_approx=True)
+        assert np.array_equal(f.active_mask, d < WeightSpec().cutoff)
         assert np.abs(f.ls.V - single.ls.V).max() <= 1e-10 * np.abs(single.ls.V).max()
         assert np.abs(f.ls.mu - single.ls.mu).max() <= 1e-10 * (1.0 + np.abs(single.ls.mu).max())
 

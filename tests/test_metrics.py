@@ -9,18 +9,22 @@ from robust_scatter import (
     DataSet,
     DegenerateSpectrum,
     FitOptions,
+    FitResult,
     LocationScatter,
+    OracleFailure,
     RadialSpec,
     WeightSpec,
     asymptotic_constants,
     asymptotic_variance,
     empirical_if,
+    fit_sppca,
     if_eigenvalue_ratio,
     if_eigenvector,
     if_location,
     similarity_rho,
     unit_scale_fit,
 )
+from robust_scatter import estimator, metrics
 from robust_scatter.weights import UNIT, weight, weight_product
 
 SPEC = WeightSpec()
@@ -261,6 +265,24 @@ def test_unit_scale_fit_hits_unit_determinant():
     assert abs(logdet / 2.0) < 1e-5
 
 
+def test_unit_scale_search_computes_initial_estimate_once(monkeypatch):
+    ref = gaussian_reference(2, np.diag([2.0, 0.5]), n=2000)
+    original = estimator.initial_estimate
+    calls = []
+
+    def counted(data):
+        calls.append(data)
+        return original(data)
+
+    monkeypatch.setattr(metrics, "initial_estimate", counted)
+    monkeypatch.setattr(estimator, "initial_estimate", counted)
+    fit = unit_scale_fit(ref, spec=SPEC, opts=IF_OPTS)
+    assert len(calls) == 1
+    # each secant fit is the cold start fit_sppca makes at its scale
+    cold = fit_sppca(ref, fit.a, spec=SPEC, opts=IF_OPTS)
+    assert np.array_equal(fit.ls.V, cold.ls.V) and np.array_equal(fit.ls.mu, cold.ls.mu)
+
+
 def test_empirical_if_trimmed_point_is_exact_zero():
     V = np.diag([2.0, 0.5])
     ref = gaussian_reference(2, V)
@@ -323,6 +345,42 @@ def test_empirical_if_validates_arguments():
         empirical_if("eigvec", np.zeros(2), ref)
     with pytest.raises(ValueError):
         empirical_if("eigratio", np.zeros(2), ref, i=1, j=1)
+
+
+def fixed_scatter_fits(monkeypatch, V, diag_approx=False):
+    """Make every fit of the unit-scale search return scatter V, whatever its
+    scale."""
+    def fake_fit(data, a, init=None, spec=SPEC, opts=IF_OPTS, tau=0.0):
+        ls = LocationScatter(np.zeros(data.p), V, diag_approx=diag_approx)
+        return FitResult(ls=ls, a=a, active_mask=np.ones(data.n, dtype=bool),
+                         active_ratio=1.0, iterations=1, converged=True, residual=0.0)
+    monkeypatch.setattr(metrics, "fit_sppca", fake_fit)
+
+
+def test_unit_scale_search_failure_has_a_type(monkeypatch):
+    # the scale of the fitted scatter ignores a, so the secant never lands
+    ref = gaussian_reference(2, np.diag([2.0, 0.5]), n=500)
+    fixed_scatter_fits(monkeypatch, 2.0 * np.eye(2))
+    with pytest.raises(OracleFailure, match="scale search did not converge"):
+        unit_scale_fit(ref, spec=SPEC, opts=IF_OPTS)
+
+
+def test_collapsed_scatter_in_unit_scale_search_has_a_type(monkeypatch):
+    # an indefinite scatter passes the diagonal-metric check but has no log det
+    ref = gaussian_reference(2, np.diag([2.0, 0.5]), n=500)
+    fixed_scatter_fits(monkeypatch, np.array([[1.0, 2.0], [2.0, 1.0]]), diag_approx=True)
+    with pytest.raises(OracleFailure, match="scatter collapsed during unit-scale search"):
+        unit_scale_fit(ref, spec=SPEC, opts=IF_OPTS)
+
+
+def test_unconverged_perturbed_refit_has_a_type():
+    ref = gaussian_reference(2, np.diag([2.0, 0.5]), n=2000)
+    base = unit_scale_fit(ref, spec=SPEC, opts=IF_OPTS)
+    one_step = FitOptions(tol=1e-10, max_iter=1, diag_approx=False)
+    with pytest.raises(OracleFailure, match="perturbed refit did not converge") as info:
+        empirical_if("location", np.array([0.9, 0.3]), ref, spec=SPEC, opts=one_step,
+                     base=base)
+    assert not isinstance(info.value, ValueError)
 
 
 # -------------------------------- population oracle for the closed forms
