@@ -256,8 +256,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    os.makedirs(args.out_dir, exist_ok=True)
     try:
+        os.makedirs(args.out_dir, exist_ok=True)
         if args.command == "tune":
             written = cmd_tune(args)
         elif args.command == "fit":

@@ -7,6 +7,9 @@ class RobustScatterError(Exception):
     # fixed-point iteration at which a fit failed; 0 means before the first
     # step.  ``fit_sppca`` sets it on the errors it re-raises.
     iteration: int = 0
+    # observations active (inside the trimming ball) at the last step the
+    # failed fit completed; None when it failed in its first step
+    active: int | None = None
 
 
 class SingularScatter(RobustScatterError):

@@ -334,8 +334,9 @@ def fit_sppca(
     as a solution path (a path of one scale).  Returns a FitResult;
     non-convergence is flagged (``converged=False``), not raised, so a whole
     solution path can be assembled.  EmptyActiveSet, DegenerateStep and
-    SingularScatter are raised with the offending iteration index in the
-    message and in their ``iteration`` attribute.
+    SingularScatter are raised with the offending iteration index, and the
+    number of observations active at the last completed step, in the
+    message and in their ``iteration`` and ``active`` attributes.
     """
     if a <= 0:
         raise ValueError("a must be positive")
@@ -352,20 +353,25 @@ def fit_sppca(
         fit = _full_fit(data, a, init, spec, opts, tau)
     if isinstance(fit, FitResult):
         return fit
-    raise _fit_error(*fit)
+    raise _fit_error(data.n, *fit)
 
 
-def _fit_error(cls, message: str, it: int):
-    """The error of a fit that failed at iteration ``it`` (0: before the
-    first step), naming the iteration in its message and attribute."""
-    err = cls(f"{message} (iteration {it})")
+def _fit_error(n: int, cls, message: str, it: int, active: int | None):
+    """The error of a fit of n observations that failed at iteration ``it``
+    (0: before the first step) with ``active`` of them active at its last
+    completed step (None: it completed none), naming both in its message
+    and attributes."""
+    where = f"(iteration {it})" if active is None else f"(iteration {it}), {active} of {n} active"
+    err = cls(f"{message} {where}")
     err.iteration = it
+    err.active = active
     return err
 
 
 def _full_fit(data, a, init, spec, opts, tau):
     """Full-metric fixed-point iteration from ``init``: a FitResult, or
-    ``(error class, message, iteration)`` for a failed fit.
+    ``(error class, message, iteration, active)`` for a failed fit, with
+    ``active`` counted at the last completed step (None before the first).
 
     The iteration runs on the data as columns: a contiguous copy of X^T and
     two p x n work arrays (the centred and the whitened observations) are
@@ -380,10 +386,12 @@ def _full_fit(data, a, init, spec, opts, tau):
     mu, V = init.mu.copy(), init.V.copy()
     residual = np.inf
     it = 0
+    last = None  # the state the last completed step started from
     try:
         for it in range(1, opts.max_iter + 1):
             mu_new, V_new = _step(XT, pi, mu, V, spec, False, tau, D, Z)
             residual = _relative_change(mu_new, mu, V_new, V)
+            last = mu, V
             mu, V = mu_new, V_new
             if residual <= opts.tol:
                 break
@@ -396,7 +404,11 @@ def _full_fit(data, a, init, spec, opts, tau):
             mask = _full_distances(D, V, Z) < spec.cutoff
         return _finish(data, ls, a, it, bool(residual <= opts.tol), residual, mask)
     except FIT_FAILURES as exc:
-        return type(exc), str(exc), it
+        active = None
+        if last is not None:  # that step's weights again; its V has factored once
+            np.subtract(XT, last[0][:, None], out=D)
+            active = int(np.count_nonzero(weight(_full_distances(D, last[1], Z), spec)))
+        return type(exc), str(exc), it, active
 
 
 def _diag_distances(Z, M, v):
@@ -434,7 +446,9 @@ def _diag_fits(data, scales, mu0, v0, spec, opts, tau=0.0) -> list:
     the same expanded form, with that pass's weights), so a fit of k
     iterations is exactly k applications of the map; its active set comes
     from the same distance kernel.  Each entry of the result is a FitResult
-    or, for a failed fit, ``(error class, message, iteration)``.
+    or, for a failed fit, ``(error class, message, iteration, active)``,
+    with ``active`` counted at the last completed step (None before the
+    first).
     """
     n, p = data.X.shape
     pi = data.effective_weights()
@@ -445,13 +459,21 @@ def _diag_fits(data, scales, mu0, v0, spec, opts, tau=0.0) -> list:
     M = np.zeros_like(v0)  # locations, relative to mu0
     v = np.array(v0, dtype=float)
     live = np.arange(len(v))  # the fits of the rows of M and v
+    Mp, vp = M, v  # from step 2 on: the states the previous step started from
     ends: list = [None] * len(v)
+
+    def active(Ms, vs, j):
+        # observations of positive weight in the step started from row j of
+        # (Ms, vs), recomputed for a failed fit only
+        return int(np.count_nonzero(weight(_diag_distances(Z, Ms[j:j + 1], vs[j:j + 1]), spec)))
+
     for it in range(1, opts.max_iter + 1):
         bad = np.any(v <= 0.0, axis=1)
         if bad.any():
             for j in np.flatnonzero(bad):
-                ends[live[j]] = (SingularScatter, "diagonal of V has non-positive entries", it)
-            M, v, live = M[~bad], v[~bad], live[~bad]
+                ends[live[j]] = (SingularScatter, "diagonal of V has non-positive entries", it,
+                                 active(Mp, vp, j) if it > 1 else None)
+            M, v, live, Mp, vp = M[~bad], v[~bad], live[~bad], Mp[~bad], vp[~bad]
             if not live.size:
                 break
         d = _diag_distances(Z, M, v)
@@ -464,9 +486,9 @@ def _diag_fits(data, scales, mu0, v0, spec, opts, tau=0.0) -> list:
         if bad.any():
             for j in np.flatnonzero(bad):
                 ends[live[j]] = (
-                    (EmptyActiveSet, "all observations have zero weight", it) if sw[j] <= 0.0
-                    else (DegenerateStep, "all active observations coincide with the location", it)
-                )
+                    (EmptyActiveSet, "all observations have zero weight") if sw[j] <= 0.0
+                    else (DegenerateStep, "all active observations coincide with the location")
+                ) + (it, active(Mp, vp, j) if it > 1 else None)
             M, v, live, W, sw, swd = M[~bad], v[~bad], live[~bad], W[:, ~bad], sw[~bad], swd[~bad]
             if not live.size:
                 break
@@ -485,14 +507,15 @@ def _diag_fits(data, scales, mu0, v0, spec, opts, tau=0.0) -> list:
             m, s1 = M[j], S1[j]
             C = Xc.T @ (Xc * W[:, k:k + 1]) - np.outer(m, s1) - np.outer(s1, m)
             V = _scatter(C + sw[j] * np.outer(m, m), swd[j], tau)
-            mask = weight(_diag_distances(Z, mu_new[j:j + 1], np.diag(V)[None, :]), spec) > 0
             try:
                 ls = LocationScatter(mu_new[j] + mu0, V, diag_approx=True)
-                ends[live[j]] = _finish(data, ls, scales[live[j]], it,
-                                        bool(residual[j] <= opts.tol), float(residual[j]),
-                                        mask[:, 0])
             except SingularScatter as exc:
-                ends[live[j]] = (type(exc), str(exc), it)
+                ends[live[j]] = (type(exc), str(exc), it, active(M, v, j))
+                continue
+            mask = weight(_diag_distances(Z, mu_new[j:j + 1], np.diag(V)[None, :]), spec) > 0
+            ends[live[j]] = _finish(data, ls, scales[live[j]], it,
+                                    bool(residual[j] <= opts.tol), float(residual[j]), mask[:, 0])
+        Mp, vp = M[~done], v[~done]
         M, v, live = mu_new[~done], v_new[~done], live[~done]
         if not live.size:
             break
@@ -541,7 +564,7 @@ def solution_set(
 def _failed_fit(data, a, init, failure) -> FitResult:
     """The path entry of a fit that failed: its initial state, AR 0 and the
     error."""
-    err = _fit_error(*failure)
+    err = _fit_error(data.n, *failure)
     return FitResult(
         ls=init,
         a=a,

@@ -8,6 +8,9 @@ quadrature after reducing the p-dimensional integrals over ``g(y'y)`` to the
 radius.  A finite-perturbation oracle (``empirical_if``) differentiates the
 actual solver under a point-mass contamination and is the independent check
 the closed forms are tested against.
+
+``scipy.integrate`` is imported inside ``radial_integral``, its one user, so
+that importing the package (every CLI command does) does not pay for it.
 """
 
 from __future__ import annotations
@@ -17,7 +20,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.integrate
 import scipy.linalg
 
 from .errors import DegenerateSpectrum, OracleFailure
@@ -128,6 +130,8 @@ def radial_integral(g, p: int, split: float | None = None, upper: float | None =
     ``split`` adds an interior breakpoint (for kinked integrands) and
     ``upper`` truncates the domain (for integrands that vanish beyond it).
     """
+    from scipy.integrate import quad
+
     half = p / 2.0
 
     def f(u):
@@ -144,7 +148,7 @@ def radial_integral(g, p: int, split: float | None = None, upper: float | None =
         pieces = [(0.0, mid), (mid, np.inf)]
     total = 0.0
     for lo, hi in pieces:
-        val, _ = scipy.integrate.quad(f, lo, hi, **_QUAD_KW)
+        val, _ = quad(f, lo, hi, **_QUAD_KW)
         total += val
     result = sphere_area(p) / 2.0 * total
     if not np.isfinite(result):

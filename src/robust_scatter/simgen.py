@@ -10,6 +10,10 @@ signal eigenvalues scaled up with the aspect ratio p/n.
 
 ``run_experiment`` evaluates estimator variants over seeded replicates and
 reports subspace-similarity summaries per configuration and method.
+
+The F quantile of ``gen_separable_mixture`` comes from ``scipy.special``,
+imported inside that function, so importing the package (every CLI command
+does) loads no ``scipy`` statistics code.
 """
 
 from __future__ import annotations
@@ -20,7 +24,6 @@ import warnings
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
-import scipy.stats
 
 from .errors import RobustScatterError
 from .estimator import DataSet, FitOptions, fit_tme, pca, solution_set
@@ -158,12 +161,15 @@ def gen_separable_mixture(
     two-block scenario for tuning tests, which the unrestricted t3
     contaminant of ``gen_mixture`` cannot.
     """
+    from scipy.special import fdtri
+
     rng = np.random.default_rng(cfg.seed)
     Gamma, lam, V_0 = _component_params(cfg, rng)
     _, _, V_out = _component_params(cfg, rng)
 
-    # main-cloud squared distances are p * F(p, nu) distributed
-    d_bulk = cfg.p * scipy.stats.f.ppf(quantile, cfg.p, cfg.nu)
+    # main-cloud squared distances are p * F(p, nu) distributed; fdtri is
+    # the F distribution's quantile function
+    d_bulk = cfg.p * fdtri(cfg.p, cfg.nu, quantile)
     lam_min = lam[-1]
     V0_inv = (Gamma / lam) @ Gamma.T
     norm_mu = cfg.c * np.sqrt(cfg.p)

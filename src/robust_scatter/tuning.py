@@ -12,6 +12,9 @@ Tuning is three calls, the same for the CLI, the simulator and library use:
     path = solution_set(data, build_grid(data))   # one fit per scale
     curve = smooth_curve(path)                    # ARCurve of the usable fits
     sel = select_a_star(curve)                    # TuningResult
+
+``scipy.interpolate`` is imported inside ``smooth_curve``, its one user, so
+that ``fit`` and other commands that never smooth a curve do not load it.
 """
 
 from __future__ import annotations
@@ -20,7 +23,6 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import make_smoothing_spline
 
 from .errors import GridNotFound, RobustScatterError
 from .estimator import (FIT_FAILURES, DataSet, FitOptions, FitResult, LocationScatter,
@@ -214,6 +216,8 @@ def smooth_curve(path: Sequence[FitResult]) -> ARCurve:
     fits the dof limit is the least-squares line.  Raises
     RobustScatterError when fewer than 4 fits are usable.
     """
+    from scipy.interpolate import make_smoothing_spline
+
     fits = [f for f in path if f.error is None]
     if len(fits) < 4:
         raise RobustScatterError("fewer than 4 usable fits on the tuning grid")

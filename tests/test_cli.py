@@ -228,21 +228,62 @@ def test_cli_error_is_structured_json(tmp_path, capsys):
     assert err["error"] == "FileNotFoundError"
 
 
+def test_cli_out_dir_failure_is_structured_json(tmp_path, capsys):
+    src = tmp_path / "data.csv"
+    write_gaussian_csv(src, n=50, p=3, seed=11)
+    blocker = tmp_path / "somefile"
+    blocker.write_text("")
+    rc = main(["fit", str(src), "--a", "50", "--k", "2", "--out-dir", str(blocker / "sub")])
+    assert rc == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "NotADirectoryError"
+
+
+# scipy subpackages that no command needs at import time
+OPTIONAL_SCIPY = {"scipy.stats", "scipy.integrate", "scipy.interpolate", "scipy.special",
+                  "scipy.optimize", "scipy.sparse"}
+
+
+def run_fresh(*args):
+    """Run ``python -X importtime *args`` in a fresh interpreter that imports
+    the same package as this process, installed or not; returns the
+    completed process and the set of modules it imported."""
+    root = str(Path(robust_scatter.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [root, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-X", "importtime", *args],
+                          capture_output=True, text=True, env=env)
+    loaded = {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
+              if line.startswith("import time:")}
+    return proc, loaded
+
+
+def test_import_loads_no_optional_scipy():
+    # a subprocess, because the test modules import scipy.stats themselves
+    proc, loaded = run_fresh("-c", "import robust_scatter, robust_scatter.cli")
+    assert proc.returncode == 0, proc.stderr
+    assert "scipy.linalg" in loaded
+    assert not loaded & OPTIONAL_SCIPY
+
+
 def test_cli_entry_point_subprocess(tmp_path):
     src = tmp_path / "data.csv"
     write_gaussian_csv(src, n=100, p=3, seed=8)
     out = tmp_path / "out"
-    # the child imports the same package as this process, installed or not
-    root = str(Path(robust_scatter.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [root, env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "robust_scatter.cli", "fit", str(src), "--a", "3.0",
-         "--k", "1", "--out-dir", str(out)],
-        capture_output=True, text=True, env=env,
-    )
+    proc, loaded = run_fresh("-m", "robust_scatter.cli", "tune", str(src), "--grid-size", "10",
+                             "--out-dir", str(out))
+    assert proc.returncode == 0, proc.stderr
+    assert (out / "tuning.json").exists()
+    # tune loads the spline smoother's subpackage, and nothing for simulation
+    # or the influence constants
+    assert "scipy.interpolate" in loaded
+    assert not loaded & {"scipy.stats", "scipy.integrate"}
+    proc, loaded = run_fresh("-m", "robust_scatter.cli", "fit", str(src), "--tuning",
+                             str(out / "tuning.json"), "--k", "1", "--out-dir", str(out))
     assert proc.returncode == 0, proc.stderr
     assert (out / "model.json").exists()
+    assert "scipy.linalg" in loaded
+    assert not loaded & OPTIONAL_SCIPY
 
 
 def test_cmd_benchmark_with_overrides(tmp_path):

@@ -30,6 +30,7 @@ from robust_scatter.estimator import (
     TAU_SCALE_C2,
     TAU_SCALE_GAUSSIAN_CONSISTENCY,
     _diag_distances,
+    _diag_fits,
     squared_distances,
 )
 from robust_scatter.weights import UNIT
@@ -219,9 +220,10 @@ def test_diag_kernel_fails_like_full_metric_loop():
     for data, err, text in cases:
         for diag in (False, True):
             init = LocationScatter(np.zeros(2), np.eye(2), diag_approx=diag)
-            with pytest.raises(err, match=text + r".*\(iteration 1\)") as info:
+            with pytest.raises(err, match=text + r".*\(iteration 1\)$") as info:
                 fit_sppca(data, a=1.0, init=init, opts=FitOptions(diag_approx=diag))
-            assert info.value.iteration == 1
+            # no step completed, so there is no active count to report
+            assert info.value.iteration == 1 and info.value.active is None
 
 
 def test_step_uses_previous_location_in_scatter():
@@ -465,6 +467,61 @@ def test_solution_set_records_failures(rng):
     assert failed.error.startswith("SingularScatter") and not failed.converged
     assert failed.iterations >= 1
     assert f"(iteration {failed.iterations})" in failed.error
+    # the path entry carries the error, active count included, that the
+    # single fit raises
+    with pytest.raises(SingularScatter) as info:
+        fit_sppca(data, a=40.0, opts=FULL)
+    assert info.value.active is not None
+    assert failed.error == f"SingularScatter: {info.value}"
+
+
+def axis_data():
+    # 30 of 40 points lie on the first axis, inside the unit-scale ball; the
+    # other 10 sit far out on the second.  The first step's scatter has no
+    # variance along the second axis.
+    X = np.zeros((40, 2))
+    X[:30, 0] = np.linspace(-1.0, 1.0, 30)
+    X[30:, 1] = np.repeat([5.0, -5.0], 5)
+    return DataSet(X)
+
+
+@pytest.mark.parametrize("max_iter", [1, 500])
+def test_failed_fit_reports_active_count(max_iter):
+    # the fit fails on the first step's scatter: when it is checked
+    # (max_iter 1) or at the next step (iteration 2); both metrics name the
+    # 30 active points of step 1
+    data = axis_data()
+    it = min(max_iter, 2)
+    for diag in (False, True):
+        opts = FitOptions(max_iter=max_iter, diag_approx=diag)
+        init = LocationScatter(np.zeros(2), np.eye(2), diag_approx=diag)
+        with pytest.raises(SingularScatter, match=rf"\(iteration {it}\), 30 of 40 active$") as info:
+            fit_sppca(data, a=1.0, init=init, opts=opts)
+        assert (info.value.iteration, info.value.active) == (it, 30)
+
+
+def test_batched_fits_report_their_own_active_counts():
+    # three scales in one batch: the smallest empties the ball in step 1,
+    # the unit scale fails in step 2 after step 1 kept 30 points, and the
+    # largest keeps every point and converges
+    scales = np.array([1e-4, 1.0, 100.0])
+    empty, singular, ok = _diag_fits(axis_data(), scales, np.zeros(2),
+                                     scales[:, None] * np.ones(2), WeightSpec(), FitOptions())
+    assert empty[0] is EmptyActiveSet and empty[2:] == (1, None)
+    assert singular[0] is SingularScatter and singular[2:] == (2, 30)
+    assert ok.converged and ok.active_ratio == 1.0
+
+
+def test_full_metric_tau_divergence_reports_shrunken_active_set():
+    # the blend keeps the smallest eigenvalue up while the largest grows
+    # without bound; the failure names how few points were still active
+    X = gaussian_data(600, 50, V=np.diag(np.linspace(3, 1, 50)),
+                      rng=np.random.default_rng(150)) + 1
+    with pytest.raises(SingularScatter) as info:
+        fit_sppca(DataSet(X), a=25.0, tau=0.3, opts=FULL)
+    exc = info.value
+    assert exc.iteration > 1 and exc.active < 50
+    assert f"(iteration {exc.iteration}), {exc.active} of 600 active" in str(exc)
 
 
 def test_failed_fit_leaves_no_reference_cycle(rng):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.special
 import scipy.stats
 
 from robust_scatter import (
@@ -138,6 +139,13 @@ def test_gen_mixture_deterministic():
     d2, t2 = gen_mixture(cfg)
     assert np.array_equal(d1.X, d2.X)
     assert np.array_equal(t1.labels, t2.labels)
+
+
+@pytest.mark.parametrize("p, nu", [(20, 10.0), (10, 10.0)])
+def test_separable_mixture_quantile_is_f_ppf(p, nu):
+    # gen_separable_mixture reads the F quantile from scipy.special.fdtri;
+    # at the (p, nu) the tests draw with it equals scipy.stats' f.ppf exactly
+    assert scipy.special.fdtri(p, nu, 0.999) == scipy.stats.f.ppf(0.999, p, nu)
 
 
 def test_separable_mixture_is_separated():
