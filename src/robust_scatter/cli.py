@@ -56,14 +56,16 @@ def load_csv(path, standardize: bool = True) -> DataSet:
         for r, row in enumerate(reader, start=2):
             if not row:
                 continue
+            if len(row) != len(header):
+                raise ValueError(f"{path}: row {r} has {len(row)} cells, "
+                                 f"the header has {len(header)}")
             vals = []
             for c, cell in enumerate(row):
                 try:
                     vals.append(float(cell))
                 except ValueError:
-                    name = header[c] if c < len(header) else str(c)
                     raise ValueError(
-                        f"{path}: non-numeric value {cell!r} at row {r}, column {name!r}"
+                        f"{path}: non-numeric value {cell!r} at row {r}, column {header[c]!r}"
                     ) from None
             rows.append(vals)
     if not rows:

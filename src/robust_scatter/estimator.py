@@ -353,7 +353,10 @@ def fit_sppca(
         fit = _full_fit(data, a, init, spec, opts, tau)
     if isinstance(fit, FitResult):
         return fit
-    raise _fit_error(data.n, *fit)
+    try:
+        raise fit
+    finally:
+        del fit  # the error's traceback holds this frame, which must not hold the error
 
 
 def _fit_error(n: int, cls, message: str, it: int, active: int | None):
@@ -369,9 +372,9 @@ def _fit_error(n: int, cls, message: str, it: int, active: int | None):
 
 
 def _full_fit(data, a, init, spec, opts, tau):
-    """Full-metric fixed-point iteration from ``init``: a FitResult, or
-    ``(error class, message, iteration, active)`` for a failed fit, with
-    ``active`` counted at the last completed step (None before the first).
+    """Full-metric fixed-point iteration from ``init``: a FitResult, or for
+    a failed fit its ``_fit_error``, with the active count taken at the last
+    completed step (None before the first).
 
     The iteration runs on the data as columns: a contiguous copy of X^T and
     two p x n work arrays (the centred and the whitened observations) are
@@ -408,7 +411,7 @@ def _full_fit(data, a, init, spec, opts, tau):
         if last is not None:  # that step's weights again; its V has factored once
             np.subtract(XT, last[0][:, None], out=D)
             active = int(np.count_nonzero(weight(_full_distances(D, last[1], Z), spec)))
-        return type(exc), str(exc), it, active
+        return _fit_error(data.n, type(exc), str(exc), it, active)
 
 
 def _diag_distances(Z, M, v):
@@ -446,9 +449,8 @@ def _diag_fits(data, scales, mu0, v0, spec, opts, tau=0.0) -> list:
     the same expanded form, with that pass's weights), so a fit of k
     iterations is exactly k applications of the map; its active set comes
     from the same distance kernel.  Each entry of the result is a FitResult
-    or, for a failed fit, ``(error class, message, iteration, active)``,
-    with ``active`` counted at the last completed step (None before the
-    first).
+    or, for a failed fit, its ``_fit_error``, with the active count taken at
+    the last completed step (None before the first).
     """
     n, p = data.X.shape
     pi = data.effective_weights()
@@ -471,8 +473,9 @@ def _diag_fits(data, scales, mu0, v0, spec, opts, tau=0.0) -> list:
         bad = np.any(v <= 0.0, axis=1)
         if bad.any():
             for j in np.flatnonzero(bad):
-                ends[live[j]] = (SingularScatter, "diagonal of V has non-positive entries", it,
-                                 active(Mp, vp, j) if it > 1 else None)
+                ends[live[j]] = _fit_error(n, SingularScatter,
+                                           "diagonal of V has non-positive entries", it,
+                                           active(Mp, vp, j) if it > 1 else None)
             M, v, live, Mp, vp = M[~bad], v[~bad], live[~bad], Mp[~bad], vp[~bad]
             if not live.size:
                 break
@@ -485,10 +488,11 @@ def _diag_fits(data, scales, mu0, v0, spec, opts, tau=0.0) -> list:
         bad = (sw <= 0.0) | (swd <= 0.0)
         if bad.any():
             for j in np.flatnonzero(bad):
-                ends[live[j]] = (
+                cls, message = (
                     (EmptyActiveSet, "all observations have zero weight") if sw[j] <= 0.0
-                    else (DegenerateStep, "all active observations coincide with the location")
-                ) + (it, active(Mp, vp, j) if it > 1 else None)
+                    else (DegenerateStep, "all active observations coincide with the location"))
+                ends[live[j]] = _fit_error(n, cls, message, it,
+                                           active(Mp, vp, j) if it > 1 else None)
             M, v, live, W, sw, swd = M[~bad], v[~bad], live[~bad], W[:, ~bad], sw[~bad], swd[~bad]
             if not live.size:
                 break
@@ -510,7 +514,7 @@ def _diag_fits(data, scales, mu0, v0, spec, opts, tau=0.0) -> list:
             try:
                 ls = LocationScatter(mu_new[j] + mu0, V, diag_approx=True)
             except SingularScatter as exc:
-                ends[live[j]] = (type(exc), str(exc), it, active(M, v, j))
+                ends[live[j]] = _fit_error(n, type(exc), str(exc), it, active(M, v, j))
                 continue
             mask = weight(_diag_distances(Z, mu_new[j:j + 1], np.diag(V)[None, :]), spec) > 0
             ends[live[j]] = _finish(data, ls, scales[live[j]], it,
@@ -561,10 +565,9 @@ def solution_set(
             for a, fit in zip(grid, fits)]
 
 
-def _failed_fit(data, a, init, failure) -> FitResult:
-    """The path entry of a fit that failed: its initial state, AR 0 and the
-    error."""
-    err = _fit_error(data.n, *failure)
+def _failed_fit(data, a, init, err) -> FitResult:
+    """The path entry of a fit that failed with ``err``: its initial state,
+    AR 0 and the error."""
     return FitResult(
         ls=init,
         a=a,

@@ -5,16 +5,16 @@ the trimming ball of the fit initialized at scale ``a``.  Scanned over a grid
 of scales it traces an increasing curve whose slope dips where the main data
 cloud has been absorbed but a secondary (contaminating) cloud has not yet
 entered; the selector returns the first strict local minimum of that slope,
-read from a cubic smoothing-spline fit of the curve.
+read from a cubic smoothing-spline fit of the curve.  The spline is
+evaluated in closed form from its knot operators Q and R, which also give
+the penalty eigensystem on which generalized cross-validation chooses its
+penalty; constants and lines, the penalty's null space, pass unshrunk.
 
 Tuning is three calls, the same for the CLI, the simulator and library use:
 
     path = solution_set(data, build_grid(data))   # one fit per scale
     curve = smooth_curve(path)                    # ARCurve of the usable fits
     sel = select_a_star(curve)                    # TuningResult
-
-``scipy.interpolate`` is imported inside ``smooth_curve``, its one user, so
-that ``fit`` and other commands that never smooth a curve do not load it.
 """
 
 from __future__ import annotations
@@ -152,37 +152,36 @@ def build_grid(
 MAX_SMOOTHER_DOF = 8
 
 
-def _penalty_eigensystem(x):
-    """Eigendecomposition of the curvature penalty of the natural cubic
-    smoothing spline with knots ``x``.
+def _natural_spline(x):
+    """Q and R of the natural cubic spline with knot values f at knots ``x``:
+    its interior knot second derivatives gamma solve R gamma = Q^T f, and
+    its curvature penalty (the integral of f''^2) is f^T Q R^{-1} Q^T f."""
+    h = np.diff(x)
+    j = np.arange(x.size - 2)
+    Q = np.zeros((x.size, x.size - 2))
+    Q[j, j] = 1.0 / h[:-1]
+    Q[j + 1, j] = -1.0 / h[:-1] - 1.0 / h[1:]
+    Q[j + 2, j] = 1.0 / h[1:]
+    R = np.diag((h[:-1] + h[1:]) / 3.0) + np.diag(h[1:-1] / 6.0, 1) + np.diag(h[1:-1] / 6.0, -1)
+    return Q, R
+
+
+def _gcv_penalty(Q, R, y, max_dof):
+    """Penalty minimizing generalized cross-validation, with the smoother
+    trace bounded by ``max_dof``.
 
     The fitted values at penalty lam are (I + lam K)^{-1} y with
-    K = Q R^{-1} Q^T built from the knot spacings, the same convention as
-    scipy's smoothing spline, so residuals and the smoother trace follow by
-    diagonal shrinkage of the eigenvalues.
+    K = Q R^{-1} Q^T, the same convention as scipy's smoothing spline, so
+    residuals and the smoother trace follow by diagonal shrinkage of K's
+    eigenvalues.
     """
-    m = x.size
-    h = np.diff(x)
-    R = np.zeros((m - 2, m - 2))
-    for i in range(m - 2):
-        R[i, i] = (h[i] + h[i + 1]) / 3.0
-        if i + 1 < m - 2:
-            R[i, i + 1] = R[i + 1, i] = h[i + 1] / 6.0
-    Q = np.zeros((m, m - 2))
-    for i in range(1, m - 1):
-        Q[i - 1, i - 1] = 1.0 / h[i - 1]
-        Q[i, i - 1] = -1.0 / h[i - 1] - 1.0 / h[i]
-        Q[i + 1, i - 1] = 1.0 / h[i]
+    m = y.size
+    cap = min(max_dof, m - 2)
+    if cap <= 2:  # only the null space, constants and lines, meets the bound
+        return np.inf
     K = Q @ np.linalg.solve(R, Q.T)
     d, U = np.linalg.eigh(0.5 * (K + K.T))
-    return np.maximum(d, 0.0), U
-
-
-def _gcv_penalty(x, y, max_dof):
-    """Penalty minimizing generalized cross-validation, with the smoother
-    trace bounded by ``max_dof``."""
-    m = x.size
-    d, U = _penalty_eigensystem(x)
+    d = np.maximum(d, 0.0)
     z = U.T @ y
     pos = d[d > 0]
     lams = np.geomspace(1e-8 / pos.max(), 1e8 / pos.min(), 121)
@@ -195,10 +194,7 @@ def _gcv_penalty(x, y, max_dof):
         rss = float(np.sum((shrink * z) ** 2))
         return m * rss / (m - edof(lam)) ** 2
 
-    cap = min(max_dof, m - 2)
-    admissible = [lam for lam in lams if edof(lam) <= cap]
-    if not admissible:
-        admissible = [lams[-1]]
+    admissible = [lam for lam in lams if edof(lam) <= cap] or [lams[-1]]
     return min(admissible, key=gcv)
 
 
@@ -206,29 +202,34 @@ def smooth_curve(path: Sequence[FitResult]) -> ARCurve:
     """The active-ratio curve of a solution path, smoothed.
 
     Failed fits are dropped; the rest, in ascending order of scale as
-    ``solution_set`` returns them, give the grid and the raw curve.  A cubic smoothing spline is fitted through it with the
-    penalty chosen by generalized cross-validation, bounded so the smoother
-    uses at most min(8, m - 2) effective degrees of freedom, since
-    active-ratio curves are staircases with strongly dependent increments
-    for which unconstrained cross-validation degenerates to interpolation.
-    The curve holds the fitted values (clipped into [0, 1]) and the
-    spline's analytic first derivative at the grid points; with 4 usable
-    fits the dof limit is the least-squares line.  Raises
-    RobustScatterError when fewer than 4 fits are usable.
+    ``solution_set`` returns them, give the grid x and the raw curve y.  The
+    natural cubic smoothing spline with knots x is evaluated in closed form
+    (Reinsch): at penalty lam its interior knot second derivatives are
+    gamma = (R + lam Q^T Q)^{-1} Q^T y and its knot values y - lam Q gamma.
+    lam minimizes generalized cross-validation with at most min(8, m - 2)
+    effective degrees of freedom, since active-ratio curves are staircases
+    with strongly dependent increments for which unconstrained
+    cross-validation degenerates to interpolation.  Constants and lines
+    (Q^T y = 0) pass unchanged; with 4 usable fits the bound admits only
+    them (lam = inf), the least-squares line.  The curve holds the fitted
+    values (clipped into [0, 1]) and the spline's first derivative at the
+    knots.  Raises RobustScatterError when fewer than 4 fits are usable.
     """
-    from scipy.interpolate import make_smoothing_spline
-
     fits = [f for f in path if f.error is None]
     if len(fits) < 4:
         raise RobustScatterError("fewer than 4 usable fits on the tuning grid")
     x = np.array([f.a for f in fits], dtype=float)
     y = np.array([f.active_ratio for f in fits], dtype=float)
-    if x.size < 5:  # scipy's spline needs at least 5 knots; 2-dof limit
-        coef = np.polyfit(x, y, 1)
-        fitted, slope = np.polyval(coef, x), np.full(x.size, coef[0])
-    else:
-        spl = make_smoothing_spline(x, y, lam=_gcv_penalty(x, y, MAX_SMOOTHER_DOF))
-        fitted, slope = spl(x), spl.derivative()(x)
+    Q, R = _natural_spline(x)
+    lam = _gcv_penalty(Q, R, y, MAX_SMOOTHER_DOF)
+    u = np.linalg.solve(R / lam + Q.T @ Q, Q.T @ y)  # lam * gamma, finite at lam = inf
+    fitted = y - Q @ u
+    g = np.concatenate(([0.0], u / lam, [0.0]))
+    h = np.diff(x)
+    dy = np.diff(fitted) / h
+    slope = np.append(dy - h * (2.0 * g[:-1] + g[1:]) / 6.0, dy[-1] + h[-1] * g[-2] / 6.0)
+    if lam == np.inf:  # one slope for the line, free of its values' rounding
+        slope[:] = (fitted[-1] - fitted[0]) / (x[-1] - x[0])
     return ARCurve(x, y, np.clip(fitted, 0.0, 1.0), slope)
 
 
@@ -242,18 +243,10 @@ def select_a_star(curve: ARCurve) -> TuningResult:
     """
     seq = curve.slope
     idx = [j for j in range(1, len(seq) - 1) if seq[j] < seq[j - 1] and seq[j] < seq[j + 1]]
-    candidates = curve.grid[idx]
-    if idx:
-        pick = idx[0]
-        return TuningResult(
-            a_star=float(curve.grid[pick]),
-            candidates=candidates,
-            fallback_used=False,
-            ar_at_a_star=float(curve.ar_raw[pick]),
-        )
+    pick = idx[0] if idx else len(seq) - 1
     return TuningResult(
-        a_star=float(curve.grid[-1]),
-        candidates=candidates,
-        fallback_used=True,
-        ar_at_a_star=float(curve.ar_raw[-1]),
+        a_star=float(curve.grid[pick]),
+        candidates=curve.grid[idx],
+        fallback_used=not idx,
+        ar_at_a_star=float(curve.ar_raw[pick]),
     )

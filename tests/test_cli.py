@@ -72,6 +72,20 @@ def test_load_csv_non_numeric_reports_position(tmp_path):
         load_csv(path)
 
 
+@pytest.mark.parametrize("rows, row, cells", [
+    ([[1.0, 2.0], [3.0], [4.0, 5.0]], 3, 1),  # one short row
+    ([[1.0, 2.0, 0.0], [3.0, 4.0, 0.0]], 2, 3),  # every row one cell too long
+], ids=["short", "long"])
+def test_cli_ragged_row_is_structured_json(tmp_path, capsys, rows, row, cells):
+    path = tmp_path / "t.csv"
+    write_csv(path, rows, ["a", "b"])
+    rc = main(["tune", str(path), "--out-dir", str(tmp_path / "out")])
+    assert rc == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ValueError"
+    assert err["message"] == f"{path}: row {row} has {cells} cells, the header has 2"
+
+
 def test_load_csv_constant_column(tmp_path):
     path = tmp_path / "t.csv"
     write_csv(path, [[1.0, 7.0], [2.0, 7.0], [3.0, 7.0]], ["a", "b"])
@@ -274,14 +288,18 @@ def test_cli_entry_point_subprocess(tmp_path):
                              "--out-dir", str(out))
     assert proc.returncode == 0, proc.stderr
     assert (out / "tuning.json").exists()
-    # tune loads the spline smoother's subpackage, and nothing for simulation
-    # or the influence constants
-    assert "scipy.interpolate" in loaded
-    assert not loaded & {"scipy.stats", "scipy.integrate"}
+    assert "scipy.linalg" in loaded
+    assert not loaded & OPTIONAL_SCIPY
     proc, loaded = run_fresh("-m", "robust_scatter.cli", "fit", str(src), "--tuning",
                              str(out / "tuning.json"), "--k", "1", "--out-dir", str(out))
     assert proc.returncode == 0, proc.stderr
     assert (out / "model.json").exists()
+    assert "scipy.linalg" in loaded
+    assert not loaded & OPTIONAL_SCIPY
+    proc, loaded = run_fresh("-m", "robust_scatter.cli", "benchmark", "--n", "60", "--p", "4",
+                             "--k", "1", "--replicates", "1", "--out-dir", str(out))
+    assert proc.returncode == 0, proc.stderr
+    assert (out / "experiment.json").exists()
     assert "scipy.linalg" in loaded
     assert not loaded & OPTIONAL_SCIPY
 

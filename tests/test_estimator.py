@@ -507,8 +507,8 @@ def test_batched_fits_report_their_own_active_counts():
     scales = np.array([1e-4, 1.0, 100.0])
     empty, singular, ok = _diag_fits(axis_data(), scales, np.zeros(2),
                                      scales[:, None] * np.ones(2), WeightSpec(), FitOptions())
-    assert empty[0] is EmptyActiveSet and empty[2:] == (1, None)
-    assert singular[0] is SingularScatter and singular[2:] == (2, 30)
+    assert type(empty) is EmptyActiveSet and (empty.iteration, empty.active) == (1, None)
+    assert type(singular) is SingularScatter and (singular.iteration, singular.active) == (2, 30)
     assert ok.converged and ok.active_ratio == 1.0
 
 

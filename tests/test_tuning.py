@@ -9,13 +9,16 @@ from robust_scatter import (
     GridNotFound,
     LocationScatter,
     RobustScatterError,
+    SimConfig,
     WeightSpec,
     build_grid,
     fit_sppca,
+    gen_mixture,
     select_a_star,
     smooth_curve,
     solution_set,
 )
+from robust_scatter.tuning import MAX_SMOOTHER_DOF, _gcv_penalty, _natural_spline
 
 from conftest import gaussian_data
 
@@ -182,6 +185,17 @@ def test_smooth_four_points_is_line():
     assert np.allclose(curve.ar_smooth, np.polyval(coef, x), atol=1e-12)
 
 
+def test_four_fits_fall_back(rng):
+    # with 4 usable fits the smoothed curve is a line with one slope, which
+    # has no strict slope minimum, on any grid
+    for _ in range(20):
+        lo = rng.uniform(0.1, 100.0)
+        x = np.geomspace(lo, lo * rng.uniform(1.5, 1000.0), 4)
+        curve = smooth_curve(make_path(x, rng.uniform(0.2, 0.8, 4)))
+        assert np.ptp(curve.slope) == 0.0
+        assert select_a_star(curve).fallback_used
+
+
 def test_smooth_drops_failed_fits(rng):
     data = DataSet(gaussian_data(200, 4, rng=rng))
     path = solution_set(data, [0.001, 0.002, 4.0, 5.0, 6.0, 7.0, 8.0])
@@ -193,6 +207,36 @@ def test_smooth_drops_failed_fits(rng):
     clean = smooth_curve(good)
     assert np.array_equal(curve.ar_smooth, clean.ar_smooth)
     assert np.array_equal(curve.slope, clean.slope)
+
+
+def reference_input(kind, rng):
+    """A path to smooth: the noisy sigmoid above, a staircase on a geometric
+    grid, or a mixture sample's solution path on its tuning grid."""
+    if kind == "sigmoid":
+        x = np.linspace(0.0, 10.0, 60)
+        y = np.clip(1.0 / (1.0 + np.exp(-(x - 5.0))) + 0.01 * rng.standard_normal(60), 0.0, 1.0)
+        return make_path(x, y)
+    if kind == "geomspace":
+        x = np.geomspace(0.5, 500.0, 50)
+        y = 0.85 / (1.0 + (20.0 / x) ** 3) + 0.15 / (1.0 + (150.0 / x) ** 4)
+        return make_path(x, np.round(y * 200) / 200)  # AR of 200 equal weights
+    data, _ = gen_mixture(SimConfig(n=250, p=10, k=2, nu=10, pi=0.15, c=4, seed=7))
+    return solution_set(data, build_grid(data))
+
+
+@pytest.mark.parametrize("kind", ["sigmoid", "geomspace", "mixture_path"])
+def test_smooth_matches_scipy_spline(kind, rng):
+    # scipy's smoothing spline at the same GCV penalty is the reference for
+    # the closed form: fitted values, knot slopes and the selected scale
+    from scipy.interpolate import make_smoothing_spline
+
+    curve = smooth_curve(reference_input(kind, rng))
+    x, y = curve.grid, curve.ar_raw
+    spl = make_smoothing_spline(x, y, lam=_gcv_penalty(*_natural_spline(x), y, MAX_SMOOTHER_DOF))
+    ref = ARCurve(x, y, np.clip(spl(x), 0.0, 1.0), spl.derivative()(x))
+    assert np.max(np.abs(curve.ar_smooth - ref.ar_smooth)) <= 1e-9
+    assert np.max(np.abs(curve.slope - ref.slope)) <= 1e-8 * np.max(np.abs(ref.slope))
+    assert select_a_star(curve).a_star == select_a_star(ref).a_star
 
 
 # ------------------------------------------------------------- select_a_star
