@@ -225,8 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("tune", help="select the working scale from the AR curve")
     _add_common(sp)
     sp.add_argument("--ell", type=float, default=0.2, help="lower AR bound of the grid")
-    sp.add_argument("--grid-size", type=int, default=None,
-                    help="grid points (default n/5, floor 10)")
+    sp.add_argument("--grid-size", type=int, default=50, help="grid points (default 50)")
 
     sp = sub.add_parser("fit", help="fit at a scale and emit the eigenmodel")
     _add_common(sp)

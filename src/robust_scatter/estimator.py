@@ -56,7 +56,7 @@ TAU_SCALE_C1 = 4.5
 TAU_SCALE_C2 = 3.0
 
 # The errors that mean one fit has failed, as opposed to bad input or a bug:
-# a path records them, and a grid probe reads them as AR = 0.
+# a path records them, with AR = 0.
 FIT_FAILURES = (EmptyActiveSet, DegenerateStep, SingularScatter)
 
 # Entries must square to a finite number: the distances and the scatter

@@ -114,6 +114,17 @@ def test_cmd_tune_outputs(tmp_path):
     assert tuning["a_star"] in curve["a"]
 
 
+def test_cmd_tune_default_grid_size(tmp_path):
+    # the grid has 50 scales whatever n, unless --grid-size says otherwise
+    src = tmp_path / "data.csv"
+    write_gaussian_csv(src, n=400, p=4, seed=3)
+    out = tmp_path / "out"
+    assert main(["tune", str(src), "--out-dir", str(out)]) == 0
+    curve = json.loads((out / "ar_curve.json").read_text())
+    jsonschema.validate(curve, schema("ar_curve"))
+    assert len(curve["a"]) == 50
+
+
 def test_cmd_tune_deterministic(tmp_path):
     src = tmp_path / "data.csv"
     write_gaussian_csv(src, n=150, p=3, seed=2)

@@ -66,27 +66,34 @@ def test_active_ratio_matches_mask(rng):
 # ---------------------------------------------------------------- build_grid
 
 
+def check_grid_ends(data, grid, ell):
+    """The grid is geometric and its ends are points of build_grid's scan:
+    the one before the first with AR >= ell (or the first), and the first
+    at the scan's top AR."""
+    scan = np.geomspace(0.05 * data.p, 50.0 * data.p, 25)
+    ars = np.array([f.active_ratio for f in solution_set(data, scan)])
+    assert np.all(np.diff(grid) > 0)
+    assert np.ptp(np.diff(np.log(grid))) < 1e-12
+    lo = np.flatnonzero(ars >= ell)[0]
+    assert grid[0] == scan[max(lo - 1, 0)]
+    assert lo == 0 or ars[lo - 1] < ell
+    assert grid[-1] == scan[np.argmax(ars == ars.max())]
+
+
 def test_build_grid_structure(rng):
     X = gaussian_data(250, 10, rng=rng)
     data = DataSet(X)
     grid = build_grid(data, ell=0.2, m=50)
     assert grid.size == 50
-    steps = np.diff(grid)
-    assert np.all(steps > 0)
-    assert np.ptp(steps) < 1e-9
-    n = data.n
-    first = fit_sppca(data, grid[0])
-    last = fit_sppca(data, grid[-1])
-    assert first.active_ratio >= 0.2 - 2.0 / n
-    assert last.active_ratio >= 1.0 - 1.0 / n
+    check_grid_ends(data, grid, 0.2)
+    assert fit_sppca(data, grid[-1]).active_ratio == 1.0
 
 
 def test_build_grid_default_m(rng):
-    X = gaussian_data(250, 3, rng=rng)
-    grid = build_grid(DataSet(X))
-    assert grid.size == 50  # n/5
-    grid_small = build_grid(DataSet(X[:30]), m=None)
-    assert grid_small.size == 10  # floor
+    # 50 scales whatever n
+    X = gaussian_data(2000, 3, rng=rng)
+    for n in (30, 250, 2000):
+        assert build_grid(DataSet(X[:n])).size == 50
 
 
 def test_build_grid_not_found():
@@ -105,20 +112,9 @@ def test_build_grid_ends_at_top_scan_ar():
     X = np.vstack([rng.standard_normal((1000, 2)), np.full((1, 2), 1e9)])
     data = DataSet(X)
     grid = build_grid(data, ell=0.2, m=10)
-    assert grid.size == 10 and np.all(np.diff(grid) > 0)
-    assert fit_sppca(data, grid[0]).active_ratio >= 0.2 - 2.0 / data.n
+    assert grid.size == 10
+    check_grid_ends(data, grid, 0.2)
     assert fit_sppca(data, grid[-1]).active_ratio == pytest.approx(1000 / 1001)
-
-
-def test_build_grid_propagates_unexpected_errors(rng, monkeypatch):
-    # only the fit failures of the package count as AR = 0; a bug in a
-    # bisection probe must surface
-    def broken_fit(*args, **kwargs):
-        raise TypeError("not a fit failure")
-
-    monkeypatch.setattr("robust_scatter.tuning.fit_sppca", broken_fit)
-    with pytest.raises(TypeError, match="not a fit failure"):
-        build_grid(DataSet(gaussian_data(50, 2, rng=rng)), m=10)
 
 
 def test_build_grid_scan_propagates_unexpected_errors(rng, monkeypatch):
@@ -150,10 +146,11 @@ def test_smooth_constant_curve():
 
 
 def test_smooth_linear_curve():
-    x = np.linspace(0.0, 29.0, 30)
-    y = 0.1 + 0.01 * np.arange(30)
-    curve = smooth_curve(make_path(x, y))
-    assert np.max(np.abs(curve.slope - 0.01)) < 1e-6
+    # linear in log a: the slope is dAR/d log a
+    x = np.linspace(0.0, 2.9, 30)
+    y = 0.1 + 0.1 * x
+    curve = smooth_curve(make_path(np.exp(x), y))
+    assert np.max(np.abs(curve.slope - 0.1)) < 1e-6
     assert np.max(np.abs(curve.ar_smooth - y)) < 1e-8
 
 
@@ -161,7 +158,7 @@ def test_smooth_noisy_sigmoid(rng):
     x = np.linspace(0.0, 10.0, 60)
     truth = 1.0 / (1.0 + np.exp(-(x - 5.0)))
     y = np.clip(truth + 0.01 * rng.standard_normal(60), 0.0, 1.0)
-    curve = smooth_curve(make_path(x, y))
+    curve = smooth_curve(make_path(np.exp(x), y))
     assert np.max(np.abs(curve.ar_smooth - truth)) <= 0.03
 
 
@@ -179,8 +176,8 @@ def test_smooth_requires_four_points(rng):
 def test_smooth_four_points_is_line():
     x = np.array([1.0, 2.0, 3.0, 4.0])
     y = np.array([0.1, 0.4, 0.2, 0.5])
-    curve = smooth_curve(make_path(x, y))
-    assert np.ptp(curve.slope) < 1e-12  # 2-dof limit: a straight line
+    curve = smooth_curve(make_path(np.exp(x), y))
+    assert np.ptp(curve.slope) < 1e-12  # 2-dof limit: a straight line in log a
     coef = np.polyfit(x, y, 1)
     assert np.allclose(curve.ar_smooth, np.polyval(coef, x), atol=1e-12)
 
@@ -194,6 +191,19 @@ def test_four_fits_fall_back(rng):
         curve = smooth_curve(make_path(x, rng.uniform(0.2, 0.8, 4)))
         assert np.ptp(curve.slope) == 0.0
         assert select_a_star(curve).fallback_used
+
+
+@pytest.mark.parametrize("x", [np.linspace(3.0, 200.0, 200), np.linspace(0.0, 6.9, 50)],
+                         ids=["linear", "log"])
+def test_gcv_penalty_is_affine_invariant(x):
+    # constants and lines are the penalty's null space, so GCV treats y and
+    # c + b y alike; the eigenvalues eigh returns for that space are noise
+    # and must not set the range of candidate penalties
+    Q, R = _natural_spline(x)
+    y = np.sin(x)
+    lams = [_gcv_penalty(Q, R, c + b * y, MAX_SMOOTHER_DOF)
+            for c, b in [(0, 1), (0.5, 0.4), (3, -2)]]
+    assert lams[0] == lams[1] == lams[2]
 
 
 def test_smooth_drops_failed_fits(rng):
@@ -210,12 +220,12 @@ def test_smooth_drops_failed_fits(rng):
 
 
 def reference_input(kind, rng):
-    """A path to smooth: the noisy sigmoid above, a staircase on a geometric
-    grid, or a mixture sample's solution path on its tuning grid."""
+    """A path to smooth: the noisy sigmoid above in log a, a staircase on a
+    geometric grid, or a mixture sample's solution path on its tuning grid."""
     if kind == "sigmoid":
         x = np.linspace(0.0, 10.0, 60)
         y = np.clip(1.0 / (1.0 + np.exp(-(x - 5.0))) + 0.01 * rng.standard_normal(60), 0.0, 1.0)
-        return make_path(x, y)
+        return make_path(np.exp(x), y)
     if kind == "geomspace":
         x = np.geomspace(0.5, 500.0, 50)
         y = 0.85 / (1.0 + (20.0 / x) ** 3) + 0.15 / (1.0 + (150.0 / x) ** 4)
@@ -226,14 +236,15 @@ def reference_input(kind, rng):
 
 @pytest.mark.parametrize("kind", ["sigmoid", "geomspace", "mixture_path"])
 def test_smooth_matches_scipy_spline(kind, rng):
-    # scipy's smoothing spline at the same GCV penalty is the reference for
-    # the closed form: fitted values, knot slopes and the selected scale
+    # scipy's smoothing spline in log a at the same GCV penalty is the
+    # reference for the closed form: fitted values, knot slopes and the
+    # selected scale
     from scipy.interpolate import make_smoothing_spline
 
     curve = smooth_curve(reference_input(kind, rng))
-    x, y = curve.grid, curve.ar_raw
+    x, y = np.log(curve.grid), curve.ar_raw
     spl = make_smoothing_spline(x, y, lam=_gcv_penalty(*_natural_spline(x), y, MAX_SMOOTHER_DOF))
-    ref = ARCurve(x, y, np.clip(spl(x), 0.0, 1.0), spl.derivative()(x))
+    ref = ARCurve(curve.grid, y, np.clip(spl(x), 0.0, 1.0), spl.derivative()(x))
     assert np.max(np.abs(curve.ar_smooth - ref.ar_smooth)) <= 1e-9
     assert np.max(np.abs(curve.slope - ref.slope)) <= 1e-8 * np.max(np.abs(ref.slope))
     assert select_a_star(curve).a_star == select_a_star(ref).a_star
@@ -269,11 +280,23 @@ def test_select_concave_curve_falls_back():
 
 
 def test_select_min_of_candidates():
+    grid = np.arange(1.0, 7.0)
     slope = [0.08, 0.02, 0.05, 0.01, 0.06, 0.07]
-    curve = make_curve(np.arange(1.0, 7.0), slope)
-    result = select_a_star(curve)
+    # a slope minimum below AR 1/2 is no candidate: the first one, at AR
+    # 0.42, reads the main cloud before it is absorbed
+    result = select_a_star(make_curve(grid, slope))
+    assert result.a_star == 4.0
+    assert list(result.candidates) == [4.0]
+    # with both at AR >= 1/2 the first one wins
+    ar = np.linspace(0.5, 1.0, 6)
+    result = select_a_star(ARCurve(grid, ar, ar, slope))
     assert result.a_star == 2.0
     assert list(result.candidates) == [2.0, 4.0]
+    # with neither, the largest scale
+    ar = np.linspace(0.1, 0.45, 6)
+    result = select_a_star(ARCurve(grid, ar, ar, slope))
+    assert result.fallback_used and result.a_star == 6.0
+    assert result.candidates.size == 0
 
 
 def test_select_deterministic():
@@ -323,6 +346,30 @@ def test_tuned_scale_beats_full_absorption_on_separable_data():
         tuned.append(similarity_rho(pca(star.ls, cfg.k).eigenvectors, truth.Gamma_k))
         absorbed.append(similarity_rho(pca(last.ls, cfg.k).eigenvectors, truth.Gamma_k))
     assert np.median(tuned) > np.median(absorbed)
+
+
+@pytest.mark.parametrize("n", [250, 1000, 2000])
+def test_tuned_ar_matches_clean_fraction_at_every_n(n):
+    # the CLI's tuning path on standardized mixture samples: the tuned AR
+    # must sit at the clean fraction, and the tuned subspace must be close
+    # to the best one on the path, at every n (a linear grid of n/5 scales
+    # picked the absorbed secondary cloud in 6 of 6 seeds at n = 2000)
+    from robust_scatter import pca, similarity_rho
+
+    gaps, losses = [], []
+    for seed in range(1, 7):
+        cfg = SimConfig(n=n, p=50, k=5, nu=10.0, pi=0.15, c=4.0, seed=seed)
+        raw, truth = gen_mixture(cfg)
+        X = raw.X - raw.X.mean(axis=0)
+        data = DataSet(X / X.std(axis=0, ddof=1))  # as cli.load_csv standardizes
+        path = solution_set(data, build_grid(data))
+        sel = select_a_star(smooth_curve(path))
+        rho = {f.a: similarity_rho(pca(f.ls, cfg.k).eigenvectors, truth.Gamma_k)
+               for f in path if f.error is None}
+        gaps.append(abs(sel.ar_at_a_star - (1.0 - truth.labels.mean())))
+        losses.append(max(rho.values()) - rho[sel.a_star])
+    assert sum(g <= 0.03 for g in gaps) >= 5, gaps
+    assert max(losses) <= 0.02, losses
 
 
 def test_tuned_ar_tracks_contamination_level():
