@@ -42,9 +42,12 @@ from .weights import WeightSpec, weight
 def load_csv(path, standardize: bool = True) -> DataSet:
     """Parse a headered numeric CSV into a DataSet.
 
-    With ``standardize`` each column is centered by its mean and scaled by
-    its standard deviation (n - 1 denominator); constant columns are
-    rejected.  Without it, values pass through bit-exact.
+    The body is parsed by ``np.loadtxt``, or cell by cell with ``float``
+    where that fails, which names a ragged row or a non-numeric cell by row
+    and column; blank lines are skipped and ``#`` is data.  With
+    ``standardize`` each column is centered by its mean and scaled by its
+    standard deviation (n - 1 denominator); constant columns are rejected.
+    Without it, values pass through bit-exact.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -52,8 +55,15 @@ def load_csv(path, standardize: bool = True) -> DataSet:
             header = next(reader)
         except StopIteration:
             raise EmptyData(f"{path}: file is empty") from None
+        lines = fh.readlines()
+    try:  # loadtxt warns on a body without data
+        X = np.loadtxt(lines, delimiter=",", quotechar='"', ndmin=2,
+                       comments=None) if any(map(str.strip, lines)) else None
+    except ValueError:
+        X = None
+    if X is None or X.shape[1] != len(header):
         rows = []
-        for r, row in enumerate(reader, start=2):
+        for r, row in enumerate(csv.reader(lines), start=2):
             if not row:
                 continue
             if len(row) != len(header):
@@ -68,9 +78,9 @@ def load_csv(path, standardize: bool = True) -> DataSet:
                         f"{path}: non-numeric value {cell!r} at row {r}, column {header[c]!r}"
                     ) from None
             rows.append(vals)
-    if not rows:
-        raise EmptyData(f"{path}: no data rows")
-    X = np.asarray(rows, dtype=float)
+        if not rows:
+            raise EmptyData(f"{path}: no data rows")
+        X = np.asarray(rows, dtype=float)
     if standardize:
         mean = X.mean(axis=0)
         sd = X.std(axis=0, ddof=1)
@@ -152,13 +162,11 @@ def cmd_fit_pca(args) -> list[str]:
     with open(out_scores, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow([f"PC{j + 1}" for j in range(k)])
-        for row in scores:
-            writer.writerow([repr(float(v)) for v in row])
+        writer.writerows(scores.tolist())  # csv writes a float as its repr
     with open(out_weights, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["index", "weight", "active"])
-        for idx, (wi, act) in enumerate(zip(w, fit.active_mask)):
-            writer.writerow([idx, repr(float(wi)), int(act)])
+        writer.writerows(zip(range(data.n), w.tolist(), fit.active_mask.astype(int).tolist()))
     return [out_model, out_scores, out_weights]
 
 

@@ -256,7 +256,8 @@ def in_ball(x, ls: LocationScatter, spec: WeightSpec = WeightSpec()) -> bool:
 
 def _step(XT, pi, mu, V, spec, diag_approx, tau, D, Z):
     """One application of the fixed-point map to the observations, the
-    columns of the p x n array XT; returns (mu_new, V_new).
+    columns of the p x n array XT; returns (mu_new, V_new, active), with
+    ``active`` the number of observations of positive weight.
 
     D and Z are p x n work arrays: D receives the columns of XT centred at
     mu, and Z the whitened columns (under the full metric), then the
@@ -265,6 +266,7 @@ def _step(XT, pi, mu, V, spec, diag_approx, tau, D, Z):
     np.subtract(XT, mu[:, None], out=D)
     d = squared_distances(D.T, V, True) if diag_approx else _full_distances(D, V, Z)
     pw = weight(d, spec)
+    active = int(np.count_nonzero(pw > 0.0))
     pw *= pi
     sw = pw.sum()
     if sw <= 0.0:
@@ -273,7 +275,7 @@ def _step(XT, pi, mu, V, spec, diag_approx, tau, D, Z):
     if swd <= 0.0:
         raise DegenerateStep("all active observations coincide with the location")
     np.multiply(D, pw, out=Z)
-    return (XT @ pw) / sw, _scatter(Z @ D.T, swd, tau)
+    return (XT @ pw) / sw, _scatter(Z @ D.T, swd, tau), active
 
 
 def _scatter(C, swd, tau):
@@ -336,7 +338,9 @@ def fit_sppca(
     solution path can be assembled.  EmptyActiveSet, DegenerateStep and
     SingularScatter are raised with the offending iteration index, and the
     number of observations active at the last completed step, in the
-    message and in their ``iteration`` and ``active`` attributes.
+    message and in their ``iteration`` and ``active`` attributes.  Under the
+    full metric with n >= p, a step that leaves fewer than p observations
+    active raises SingularScatter with that step's count.
     """
     if a <= 0:
         raise ValueError("a must be positive")
@@ -374,7 +378,8 @@ def _fit_error(n: int, cls, message: str, it: int, active: int | None):
 def _full_fit(data, a, init, spec, opts, tau):
     """Full-metric fixed-point iteration from ``init``: a FitResult, or for
     a failed fit its ``_fit_error``, with the active count taken at the last
-    completed step (None before the first).
+    completed step (None before the first), or at the step that leaves
+    fewer than p active.
 
     The iteration runs on the data as columns: a contiguous copy of X^T and
     two p x n work arrays (the centred and the whitened observations) are
@@ -389,12 +394,17 @@ def _full_fit(data, a, init, spec, opts, tau):
     mu, V = init.mu.copy(), init.V.copy()
     residual = np.inf
     it = 0
-    last = None  # the state the last completed step started from
+    active = None  # of the last completed step
     try:
         for it in range(1, opts.max_iter + 1):
-            mu_new, V_new = _step(XT, pi, mu, V, spec, False, tau, D, Z)
+            mu_new, V_new, count = _step(XT, pi, mu, V, spec, False, tau, D, Z)
+            # the scatter of fewer than p points is singular; a tau blend only
+            # hides that while the fit diverges (for n < p, hiding it is its job)
+            if count < data.p <= data.n:
+                return _fit_error(data.n, SingularScatter,
+                                  f"fewer than {data.p} observations active", it, count)
+            active = count
             residual = _relative_change(mu_new, mu, V_new, V)
-            last = mu, V
             mu, V = mu_new, V_new
             if residual <= opts.tol:
                 break
@@ -407,10 +417,6 @@ def _full_fit(data, a, init, spec, opts, tau):
             mask = _full_distances(D, V, Z) < spec.cutoff
         return _finish(data, ls, a, it, bool(residual <= opts.tol), residual, mask)
     except FIT_FAILURES as exc:
-        active = None
-        if last is not None:  # that step's weights again; its V has factored once
-            np.subtract(XT, last[0][:, None], out=D)
-            active = int(np.count_nonzero(weight(_full_distances(D, last[1], Z), spec)))
         return _fit_error(data.n, type(exc), str(exc), it, active)
 
 
@@ -586,26 +592,38 @@ def tau_scale(x: np.ndarray) -> float:
     Truncated-standard-deviation construction: MAD as the auxiliary scale, a
     bisquare-weighted location (tuning constant 4.5), then the square root of
     the truncated second moment (tuning constant 3.0), divided by the
-    Gaussian consistency factor.
+    Gaussian consistency factor.  A sample whose MAD is below 1e-12 has
+    scale 0.
     """
-    x = np.asarray(x, dtype=float)
-    med = np.median(x)
-    s0 = np.median(np.abs(x - med))
-    if s0 < 1e-12:
-        return 0.0
+    return float(_tau_scales(np.asarray(x, dtype=float).reshape(1, -1))[1][0])
+
+
+def _tau_scales(XT):
+    """Medians and tau-scales (``tau_scale``) of the rows of the p x n array
+    XT, computed together in one p x n work array."""
+    med = np.median(XT, axis=1)
+    A = XT - med[:, None]
+    np.abs(A, out=A)
+    s0 = np.median(A, axis=1)
+    flat = s0 < 1e-12
+    s0[flat] = 1.0  # their scale is 0; any positive value avoids 0 / 0
     # both weights clip before squaring, so far points cannot overflow
-    u = np.minimum(np.abs(x - med) / s0 / TAU_SCALE_C1, 1.0)
-    wloc = (1.0 - u**2) ** 2
-    mu = float(wloc @ x) / float(wloc.sum())
-    r = np.minimum(np.abs(x - mu) / s0, TAU_SCALE_C2)
-    raw = s0 * np.sqrt(np.mean(r**2))
-    return float(raw) / TAU_SCALE_GAUSSIAN_CONSISTENCY
+    A /= s0[:, None]
+    A /= TAU_SCALE_C1
+    np.square(np.minimum(A, 1.0, out=A), out=A)
+    np.square(np.subtract(1.0, A, out=A), out=A)  # the bisquare location weights
+    mu = np.einsum("ij,ij->i", A, XT) / A.sum(axis=1)
+    np.abs(np.subtract(XT, mu[:, None], out=A), out=A)
+    A /= s0[:, None]
+    np.square(np.minimum(A, TAU_SCALE_C2, out=A), out=A)
+    scales = s0 * np.sqrt(A.mean(axis=1)) / TAU_SCALE_GAUSSIAN_CONSISTENCY
+    scales[flat] = 0.0
+    return med, scales
 
 
 def initial_estimate(data: DataSet) -> LocationScatter:
     """Column medians plus a diagonal of squared per-column tau-scales."""
-    med = np.median(data.X, axis=0)
-    scales = np.array([tau_scale(data.X[:, j]) for j in range(data.p)])
+    med, scales = _tau_scales(np.ascontiguousarray(data.X.T))
     bad = np.nonzero(scales < 1e-12)[0]
     if bad.size:
         names = (
@@ -692,6 +710,6 @@ def estimating_equation_residual(
     """
     ls = fit.ls
     D = np.empty((data.p, data.n))
-    mu_new, V_new = _step(data.X.T, data.effective_weights(), ls.mu, ls.V, spec,
-                          ls.diag_approx, 0.0, D, np.empty_like(D))
+    mu_new, V_new, _ = _step(data.X.T, data.effective_weights(), ls.mu, ls.V, spec,
+                             ls.diag_approx, 0.0, D, np.empty_like(D))
     return _relative_change(mu_new, ls.mu, V_new, ls.V)

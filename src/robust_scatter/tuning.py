@@ -141,7 +141,8 @@ def _gcv_penalty(Q, R, y, max_dof):
     K = Q R^{-1} Q^T, the same convention as scipy's smoothing spline, so
     residuals and the smoother trace follow by diagonal shrinkage of K's
     eigenvalues.  The candidate penalties span K's nonzero eigenvalues, so
-    the choice is the same for y and for c + b y.
+    the choice is the same for y and for c + b y; the first candidate of
+    least GCV among those within the bound is returned.
     """
     m = y.size
     cap = min(max_dof, m - 2)
@@ -152,17 +153,13 @@ def _gcv_penalty(Q, R, y, max_dof):
     d[:2] = 0.0  # the null space: eigh returns rounding noise for it
     z = U.T @ y
     lams = np.geomspace(1e-8 / d[-1], 1e8 / d[2], 121)
-
-    def edof(lam):
-        return float(np.sum(1.0 / (1.0 + lam * d)))
-
-    def gcv(lam):
-        shrink = lam * d / (1.0 + lam * d)
-        rss = float(np.sum((shrink * z) ** 2))
-        return m * rss / (m - edof(lam)) ** 2
-
-    admissible = [lam for lam in lams if edof(lam) <= cap] or [lams[-1]]
-    return min(admissible, key=gcv)
+    ld = lams[:, None] * d  # one row per candidate
+    edof = np.sum(1.0 / (1.0 + ld), axis=1)
+    ok = np.flatnonzero(edof <= cap)
+    if not ok.size:
+        return lams[-1]
+    rss = np.sum((ld[ok] / (1.0 + ld[ok]) * z) ** 2, axis=1)
+    return lams[ok[np.argmin(m * rss / (m - edof[ok]) ** 2)]]  # the first minimum
 
 
 def smooth_curve(path: Sequence[FitResult]) -> ARCurve:

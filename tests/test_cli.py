@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -63,6 +64,46 @@ def test_load_csv_header_only(tmp_path):
     write_csv(path, [], ["a", "b"])
     with pytest.raises(EmptyData):
         load_csv(path)
+    # a body of blank lines has no data either; neither case may warn
+    with open(path, "a", newline="") as fh:
+        fh.write("\r\n\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(EmptyData):
+            load_csv(path)
+
+
+def reference_load(path):
+    """Header and body of a CSV parsed cell by cell: blank rows skipped,
+    every cell through ``float``."""
+    with open(path, newline="") as fh:
+        header, *rows = csv.reader(fh)
+    return header, np.array([[float(c) for c in row] for row in rows if row])
+
+
+def random_body(seed=7, n=200, p=6):
+    rng = np.random.default_rng(seed)
+    V = rng.standard_normal((n, p)) * 10.0 ** rng.integers(-300, 150, (n, p))
+    fmts = ["{!r}", "{:.6g}", "{:.17e}", "{:+.3f}", "{:.0f}"]
+    return "".join(",".join(fmts[(i + j) % 5].format(v) for j, v in enumerate(row)) + "\n"
+                   for i, row in enumerate(V.tolist()))
+
+
+@pytest.mark.parametrize("text", [
+    '"a","b c"\n"1.5","-2e-3"\n3,"4"\n',
+    "a,b\r\n0.1,2\r\n3,1e-300\r\n",
+    "a,b\n1,2\n\n\n3,4\n\n0.5, -7 \n",
+    "a,b\n1_000,2\n3,4\n",
+    "v0,v1,v2,v3,v4,v5\n" + random_body(),
+], ids=["quoted", "crlf", "blank_lines", "underscore", "random"])
+def test_load_csv_matches_per_cell_float(tmp_path, text):
+    # 1_000 is rejected by np.loadtxt and accepted by float
+    path = tmp_path / "t.csv"
+    path.write_bytes(text.encode())
+    header, X = reference_load(path)
+    data = load_csv(path, standardize=False)
+    assert data.column_names == header
+    assert data.X.shape == X.shape and data.X.tobytes() == X.tobytes()
 
 
 def test_load_csv_non_numeric_reports_position(tmp_path):

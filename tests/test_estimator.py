@@ -522,6 +522,16 @@ def test_full_metric_tau_divergence_reports_shrunken_active_set():
     exc = info.value
     assert exc.iteration > 1 and exc.active < 50
     assert f"(iteration {exc.iteration}), {exc.active} of 600 active" in str(exc)
+    # it ends at the first step with fewer than p active: step k + 1 weights
+    # the trimming ball of the state after k steps, that of a fit cut off there
+    base = initial_estimate(DataSet(X))
+    d0 = squared_distances(X - base.mu, 25.0 * base.V, False)
+    counts = [np.count_nonzero(d0 < WeightSpec().cutoff)]
+    for k in range(1, exc.iteration):
+        cut = fit_sppca(DataSet(X), a=25.0, tau=0.3,
+                        opts=FitOptions(max_iter=k, diag_approx=False))
+        counts.append(np.count_nonzero(cut.active_mask))
+    assert min(counts[:-1]) >= 50 and counts[-1] == exc.active
 
 
 def test_failed_fit_leaves_no_reference_cycle(rng):
@@ -560,6 +570,45 @@ def test_initial_estimate_names_degenerate_column():
     X = np.array([[1.0, 5.0], [2.0, 5.0], [3.0, 5.0]])
     with pytest.raises(DegenerateScale, match="b"):
         initial_estimate(DataSet(X, column_names=["a", "b"]))
+
+
+def reference_tau_scale(x):
+    """The per-column tau-scale as a scalar computation on one sample."""
+    med = np.median(x)
+    s0 = np.median(np.abs(x - med))
+    if s0 < 1e-12:
+        return 0.0
+    u = np.minimum(np.abs(x - med) / s0 / TAU_SCALE_C1, 1.0)
+    wloc = (1.0 - u**2) ** 2
+    mu = float(wloc @ x) / float(wloc.sum())
+    r = np.minimum(np.abs(x - mu) / s0, TAU_SCALE_C2)
+    return float(s0 * np.sqrt(np.mean(r**2))) / TAU_SCALE_GAUSSIAN_CONSISTENCY
+
+
+@pytest.mark.parametrize("shape", [(1000, 50), (251, 7), (2, 3)])
+@pytest.mark.parametrize("law", ["gaussian", "t3"])
+def test_initial_estimate_matches_per_column_reference(shape, law):
+    rng = np.random.default_rng(shape[0] + shape[1])
+    X = rng.standard_normal(shape) if law == "gaussian" else rng.standard_t(3, shape)
+    X = X * rng.uniform(0.1, 10.0, shape[1]) + rng.uniform(-5.0, 5.0, shape[1])
+    base = initial_estimate(DataSet(X))
+    ref = np.array([reference_tau_scale(X[:, j]) for j in range(shape[1])])
+    assert np.array_equal(base.mu, np.median(X, axis=0))
+    np.testing.assert_allclose(np.sqrt(np.diag(base.V)), ref, rtol=1e-14, atol=0)
+    np.testing.assert_allclose([tau_scale(X[:, j]) for j in range(shape[1])], ref,
+                               rtol=1e-14, atol=0)
+
+
+def test_initial_estimate_names_zero_mad_columns(rng):
+    # columns b and c have zero MAD without being constant: more than half
+    # of their values coincide
+    X = rng.standard_normal((9, 4))
+    X[:5, 1] = 2.0
+    X[2:, 2] = -1.0
+    names = [j for j, col in zip("abcd", X.T) if reference_tau_scale(col) < 1e-12]
+    assert names == ["b", "c"]
+    with pytest.raises(DegenerateScale, match=r"column\(s\): b, c$"):
+        initial_estimate(DataSet(X, column_names=list("abcd")))
 
 
 def test_tau_scale_consistency_constant():

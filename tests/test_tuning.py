@@ -206,6 +206,45 @@ def test_gcv_penalty_is_affine_invariant(x):
     assert lams[0] == lams[1] == lams[2]
 
 
+def reference_gcv_penalty(Q, R, y, max_dof):
+    """``_gcv_penalty`` as a scalar loop over the candidate penalties."""
+    m = y.size
+    cap = min(max_dof, m - 2)
+    if cap <= 2:
+        return np.inf
+    K = Q @ np.linalg.solve(R, Q.T)
+    d, U = np.linalg.eigh(0.5 * (K + K.T))
+    d[:2] = 0.0
+    z = U.T @ y
+    lams = np.geomspace(1e-8 / d[-1], 1e8 / d[2], 121)
+
+    def edof(lam):
+        return float(np.sum(1.0 / (1.0 + lam * d)))
+
+    def gcv(lam):
+        shrink = lam * d / (1.0 + lam * d)
+        return m * float(np.sum((shrink * z) ** 2)) / (m - edof(lam)) ** 2
+
+    admissible = [lam for lam in lams if edof(lam) <= cap] or [lams[-1]]
+    return min(admissible, key=gcv)
+
+
+@pytest.mark.parametrize("spacing", ["linear", "log"])
+def test_gcv_penalty_matches_scalar_loop(spacing):
+    # the knots are log a for a scale grid linear in a (the simulator's) or
+    # geometric (the tuner's)
+    rng = np.random.default_rng(5 if spacing == "linear" else 6)
+    for _ in range(25):
+        m = int(rng.integers(5, 61))
+        a = (np.linspace(1.0, rng.uniform(2.0, 100.0), m) if spacing == "linear"
+             else np.geomspace(1.0, rng.uniform(2.0, 1e4), m))
+        x = np.log(a)
+        y = np.clip(0.5 + 0.5 * np.tanh(x - x.mean()) + 0.05 * rng.standard_normal(m), 0, 1)
+        Q, R = _natural_spline(x)
+        assert _gcv_penalty(Q, R, y, MAX_SMOOTHER_DOF) == reference_gcv_penalty(
+            Q, R, y, MAX_SMOOTHER_DOF)
+
+
 def test_smooth_drops_failed_fits(rng):
     data = DataSet(gaussian_data(200, 4, rng=rng))
     path = solution_set(data, [0.001, 0.002, 4.0, 5.0, 6.0, 7.0, 8.0])
