@@ -166,7 +166,7 @@ def cmd_fit_pca(args) -> list[str]:
     with open(out_weights, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["index", "weight", "active"])
-        writer.writerows(zip(range(data.n), w.tolist(), fit.active_mask.astype(int).tolist()))
+        writer.writerows(zip(range(data.n), w.tolist(), (w > 0).astype(int).tolist()))
     return [out_model, out_scores, out_weights]
 
 

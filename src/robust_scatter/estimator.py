@@ -11,10 +11,11 @@ data carries explicit weights).  The solver iterates this map from an initial
 (mu_tilde, a * V_tilde); the initialization scale ``a`` selects which member
 of the solution family the iteration converges to.
 
-A ridge blend toward the identity for p > n (``tau`` in ``fit_sppca``), a
-plain Tyler-type baseline (``fit_tme``), the robust initializer (column
-medians and tau-scales), and the eigendecomposition used for PCA output live
-here as well.
+A ridge blend toward the identity for p > n (``tau`` in ``fit_sppca``), an
+unweighted Tyler-type baseline (``fit_tme``; Tyler's M-estimator only under
+the full metric, since it measures distances by the metric its options
+name), the robust initializer (column medians and tau-scales), and the
+eigendecomposition used for PCA output live here as well.
 
 For stability at large p, squared distances can be computed against the
 diagonal of V instead of the full matrix (``diag_approx``, on by default).
@@ -44,7 +45,7 @@ from .errors import (
     EmptyActiveSet,
     SingularScatter,
 )
-from .weights import UNIT, WeightSpec, weight
+from .weights import WeightSpec, weight
 
 # Population value of the raw tau-scale at the standard Gaussian, computed by
 # Gauss quadrature of s0^2 * E[min((X/s0)^2, c2^2)] with s0 the normal MAD
@@ -233,8 +234,8 @@ def _full_distances(D: np.ndarray, V: np.ndarray, Z: np.ndarray) -> np.ndarray:
 def mahalanobis(x, ls: LocationScatter) -> float:
     """Squared Mahalanobis distance of one point from ``ls``.
 
-    Uses only the diagonal of V when ``ls.diag_approx`` is set.  Solves a
-    linear system instead of forming an explicit inverse.
+    Uses only the diagonal of V when ``ls.diag_approx`` is set; otherwise
+    goes through the full-metric kernel (``_full_distances``).
     """
     x = np.asarray(x, dtype=float)
     if x.shape != ls.mu.shape:
@@ -244,14 +245,10 @@ def mahalanobis(x, ls: LocationScatter) -> float:
 
 
 def in_ball(x, ls: LocationScatter, spec: WeightSpec = WeightSpec()) -> bool:
-    """True iff ``x`` lies strictly inside the trimming ball of ``ls``.
-
-    Equivalent to ``weight(d(x, mu, V), spec) > 0`` for the hard-threshold
-    kind; always true for the unit kind.
+    """True iff ``x`` has positive weight at ``ls``: the trimming ball is
+    where ``weight(d(x, mu, V), spec) > 0`` (all of R^p for the unit kind).
     """
-    if spec.kind == UNIT:
-        return True
-    return mahalanobis(x, ls) < spec.cutoff
+    return weight(mahalanobis(x, ls), spec) > 0.0
 
 
 def _step(XT, pi, mu, V, spec, diag_approx, tau, D, Z):
@@ -410,11 +407,8 @@ def _full_fit(data, a, init, spec, opts, tau):
                 break
         ls = LocationScatter(mu, V)
         # the active set is the trimming ball of the final state (in_ball)
-        if spec.kind == UNIT:
-            mask = np.ones(data.n, dtype=bool)
-        else:
-            np.subtract(XT, mu[:, None], out=D)
-            mask = _full_distances(D, V, Z) < spec.cutoff
+        np.subtract(XT, mu[:, None], out=D)
+        mask = weight(_full_distances(D, V, Z), spec) > 0
         return _finish(data, ls, a, it, bool(residual <= opts.tol), residual, mask)
     except FIT_FAILURES as exc:
         return _fit_error(data.n, type(exc), str(exc), it, active)
@@ -436,8 +430,8 @@ def _diag_distances(Z, M, v):
 
 
 def _diag_fits(data, scales, mu0, v0, spec, opts, tau=0.0) -> list:
-    """Diagonal-metric fits from (mu0, diag v0[j]), one per scale, iterated
-    together.
+    """Diagonal-metric fits from (mu0, diag v0[j]), v0 > 0, one per scale,
+    iterated together.
 
     Under the diagonal metric (mu, diag V) is a closed iteration, so the
     live fits are the rows of M and v, and one pass steps all of them:
@@ -481,7 +475,7 @@ def _diag_fits(data, scales, mu0, v0, spec, opts, tau=0.0) -> list:
             for j in np.flatnonzero(bad):
                 ends[live[j]] = _fit_error(n, SingularScatter,
                                            "diagonal of V has non-positive entries", it,
-                                           active(Mp, vp, j) if it > 1 else None)
+                                           active(Mp, vp, j))
             M, v, live, Mp, vp = M[~bad], v[~bad], live[~bad], Mp[~bad], vp[~bad]
             if not live.size:
                 break
@@ -546,12 +540,16 @@ def solution_set(
     up to rounding.  Under the full metric the fits run one after another.
     Failed fits (empty active set, degenerate step, singular scatter) are
     recorded in place with ``converged=False``, the error message and the
-    iteration at which the fit failed, instead of aborting the path.
-    Results are in grid order.
+    iteration at which the fit failed, instead of aborting the path.  The
+    scales must be positive and strictly increasing; results are in grid
+    order.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.size == 0:
         raise ValueError("grid must be nonempty")
+    bad = np.flatnonzero(~(grid > 0))
+    if bad.size:
+        raise ValueError(f"grid scales must be positive, got {grid[bad[0]]:g}")
     if np.any(np.diff(grid) <= 0):
         raise ValueError("grid must be strictly increasing")
     base = initial_estimate(data)  # raises before any fit on degenerate data
@@ -640,10 +638,13 @@ def fit_tme(
     mu: np.ndarray,
     opts: FitOptions = FitOptions(),
 ) -> LocationScatter:
-    """Distribution-free scatter baseline for a fixed, externally supplied mu.
+    """Unweighted scatter baseline for a fixed, externally supplied mu.
 
     Iterates V <- p * sum_i pi_i (x_i - mu)(x_i - mu)^T / d_i with the trace
-    renormalized to p each step (the equation only identifies shape).
+    renormalized to p each step (the equation only identifies shape), d_i
+    under the metric ``opts`` names: Tyler's M-estimator of shape with the
+    full metric, and with the default diagonal one a fixed point of diag(V)
+    distances that is not Tyler's.
     Observations at exactly mu are excluded from that iteration's sums, with
     a warning carrying the count.  Non-convergence is flagged by a warning.
     """

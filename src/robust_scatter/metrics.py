@@ -29,6 +29,7 @@ from .estimator import (
     FitResult,
     LocationScatter,
     fit_sppca,
+    in_ball,
     initial_estimate,
     mahalanobis,
     pca,
@@ -123,12 +124,12 @@ def sphere_area(p: int) -> float:
     return 2.0 * math.pi ** (p / 2.0) / math.gamma(p / 2.0)
 
 
-def radial_integral(g, p: int, split: float | None = None, upper: float | None = None) -> float:
+def radial_integral(g, p: int, upper: float | None = None) -> float:
     """Integral of g(y'y) over R^p, reduced to one radial dimension.
 
     Substituting u = r**2 gives S_{p-1}/2 * integral of u^{p/2-1} g(u) du.
-    ``split`` adds an interior breakpoint (for kinked integrands) and
-    ``upper`` truncates the domain (for integrands that vanish beyond it).
+    ``upper`` truncates the domain (for integrands that vanish beyond it);
+    without it the domain is split at max(4 p, 10).
     """
     from scipy.integrate import quad
 
@@ -137,14 +138,10 @@ def radial_integral(g, p: int, split: float | None = None, upper: float | None =
     def f(u):
         return u ** (half - 1.0) * g(u)
 
-    pieces = []
     if upper is not None:
-        if split is not None and 0.0 < split < upper:
-            pieces = [(0.0, split), (split, upper)]
-        else:
-            pieces = [(0.0, upper)]
+        pieces = [(0.0, upper)]
     else:
-        mid = split if split is not None and split > 0 else max(4.0 * p, 10.0)
+        mid = max(4.0 * p, 10.0)
         pieces = [(0.0, mid), (mid, np.inf)]
     total = 0.0
     for lo, hi in pieces:
@@ -183,22 +180,16 @@ def asymptotic_constants(radial: RadialSpec, spec: WeightSpec = WeightSpec()) ->
     tests pin this sign convention.
     """
     p = radial.p
-    cut = None if spec.kind == UNIT else spec.cutoff
     # with a hard threshold the weighted integrands vanish beyond the cutoff
-    upper = cut
+    upper = None if spec.kind == UNIT else spec.cutoff
 
     def wfun(u):
         return weight(u, spec)
 
-    i_eta = (2.0 / p) * radial_integral(
-        lambda u: u * wfun(u) * radial.dpsi_s(u), p, split=cut, upper=upper
-    )
+    i_eta = (2.0 / p) * radial_integral(lambda u: u * wfun(u) * radial.dpsi_s(u), p, upper)
     i_phi = (2.0 / (p * (p + 2.0))) * radial_integral(
-        lambda u: u**2 * wfun(u) * radial.dpsi_s(u), p, split=cut, upper=upper
-    )
-    i_xi = radial_integral(
-        lambda u: u**2 * wfun(u) ** 2 * radial.psi_s(u), p, split=cut, upper=upper
-    )
+        lambda u: u**2 * wfun(u) * radial.dpsi_s(u), p, upper)
+    i_xi = radial_integral(lambda u: u**2 * wfun(u) ** 2 * radial.psi_s(u), p, upper)
     if i_eta == 0.0 or i_phi == 0.0:
         raise ValueError("degenerate defining integral")
     eta_s = 1.0 / abs(i_eta)
@@ -395,7 +386,7 @@ def empirical_if(
     if base is None:
         base = unit_scale_fit(reference, spec=spec, opts=opts)
 
-    if weight(mahalanobis(x, base.ls), spec) == 0.0:
+    if not in_ball(x, base.ls, spec):
         return 0.0 if functional == "eigratio" else np.zeros(reference.p)
 
     pi = reference.effective_weights()

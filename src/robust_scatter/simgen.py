@@ -31,9 +31,6 @@ from .metrics import similarity_rho
 from .tuning import select_a_star, smooth_curve
 from .weights import WeightSpec
 
-DEFAULT_GRID_POINTS = 50
-DEFAULT_GRID_RANGE = (0.2, 3.0)  # in units of p
-
 METHODS = ("sppca_astar", "sppca_opt", "tme")
 
 
@@ -115,7 +112,7 @@ def _component_params(cfg: SimConfig, rng: np.random.Generator):
     return Gamma, lam, 0.5 * (V + V.T)
 
 
-def _assemble(cfg: SimConfig, rng, V_0, Gamma_k, mu_out, V_out, contaminate_rows):
+def _assemble(cfg: SimConfig, rng, V_0, contaminate_rows):
     labels = rng.random(cfg.n) < cfg.pi
     n_out = int(labels.sum())
     X = np.empty((cfg.n, cfg.p))
@@ -134,10 +131,7 @@ def gen_mixture(cfg: SimConfig) -> tuple[DataSet, GroundTruth]:
     u /= np.linalg.norm(u)
     mu_out = cfg.c * np.sqrt(cfg.p) * u
 
-    X, labels = _assemble(
-        cfg, rng, V_0, Gamma[:, : cfg.k], mu_out, V_out,
-        lambda n_out, r: sample_mvt(3.0, mu_out, V_out, n_out, r),
-    )
+    X, labels = _assemble(cfg, rng, V_0, lambda n_out, r: sample_mvt(3.0, mu_out, V_out, n_out, r))
     truth = GroundTruth(V_0=V_0, Gamma_k=Gamma[:, : cfg.k], mu_out=mu_out,
                         V_out=V_out, labels=labels)
     return DataSet(X), truth
@@ -200,7 +194,7 @@ def gen_separable_mixture(
         scale = np.minimum(1.0, r / np.maximum(norms, 1e-300))
         return mu_out + delta * scale[:, None]
 
-    X, labels = _assemble(cfg, rng, V_0, Gamma[:, : cfg.k], mu_out, V_out, clipped_rows)
+    X, labels = _assemble(cfg, rng, V_0, clipped_rows)
     truth = GroundTruth(V_0=V_0, Gamma_k=Gamma[:, : cfg.k], mu_out=mu_out,
                         V_out=V_out, labels=labels, truncation_radius=float(r))
     return DataSet(X), truth
@@ -219,24 +213,13 @@ class ExperimentTable:
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(cols)
-            for row in self.rows:
-                writer.writerow([_format_cell(row[c]) for c in cols])
-
-    def to_json_obj(self) -> dict:
-        return {"results": self.rows, "replicates": self.replicates}
+            # csv writes None as "" and a float as its repr
+            writer.writerows([row[c] for c in cols] for row in self.rows)
 
     def to_json(self, path):
         with open(path, "w") as fh:
-            json.dump(self.to_json_obj(), fh, indent=2)
+            json.dump({"results": self.rows, "replicates": self.replicates}, fh, indent=2)
             fh.write("\n")
-
-
-def _format_cell(v):
-    if v is None:
-        return ""
-    if isinstance(v, float):
-        return repr(v)
-    return v
 
 
 def replicate_seed(seed: int, rep: int) -> int:
@@ -246,15 +229,15 @@ def replicate_seed(seed: int, rep: int) -> int:
 
 
 def _default_grid(p: int) -> np.ndarray:
-    lo, hi = DEFAULT_GRID_RANGE
-    return np.linspace(lo * p, hi * p, DEFAULT_GRID_POINTS)
+    """The simulator's fixed scale grid: 50 points over [0.2 p, 3 p]."""
+    return np.linspace(0.2 * p, 3.0 * p, 50)
 
 
-def _one_replicate(cfg, rep, methods, spec, opts, grid):
+def _one_replicate(cfg, rep, methods, spec, opts):
     """Similarities for all requested methods on one seeded draw."""
     data, truth = gen_mixture(replace(cfg, seed=replicate_seed(cfg.seed, rep)))
     out: dict[str, float | None] = {}
-    path = solution_set(data, grid, spec=spec, opts=opts)
+    path = solution_set(data, _default_grid(cfg.p), spec=spec, opts=opts)
     try:
         curve = smooth_curve(path)
     except RobustScatterError:  # fewer than 4 usable fits
@@ -286,14 +269,14 @@ def run_experiment(
     replicates: int = 20,
     spec: WeightSpec = WeightSpec(),
     opts: FitOptions = FitOptions(),
-    grid: np.ndarray | None = None,
 ) -> ExperimentTable:
     """Mean and standard error of the subspace similarity per config and
     method over seeded replicates.
 
     ``sppca_astar`` picks the path element at the tuned scale, ``sppca_opt``
     the path element with the best similarity (an oracle, for reference
-    only), and ``tme`` the unweighted baseline at the tuned location.
+    only), and ``tme`` the unweighted baseline (``fit_tme`` with ``opts``, so
+    under the diagonal metric by default) at the tuned location.
     Per-replicate seeds derive from (config seed, replicate index), so any
     replicate can be reproduced in isolation.  Replicates with failed fits
     are excluded per method and counted; a config-method cell failing more
@@ -309,9 +292,7 @@ def run_experiment(
 
     rows, rep_rows = [], []
     for cfg in configs:
-        g = _default_grid(cfg.p) if grid is None else np.asarray(grid, dtype=float)
-        results = [_one_replicate(cfg, rep, methods, spec, opts, g)
-                   for rep in range(replicates)]
+        results = [_one_replicate(cfg, rep, methods, spec, opts) for rep in range(replicates)]
 
         for rep, res in enumerate(results):
             for method in methods:

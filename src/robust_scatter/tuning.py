@@ -155,9 +155,7 @@ def _gcv_penalty(Q, R, y, max_dof):
     lams = np.geomspace(1e-8 / d[-1], 1e8 / d[2], 121)
     ld = lams[:, None] * d  # one row per candidate
     edof = np.sum(1.0 / (1.0 + ld), axis=1)
-    ok = np.flatnonzero(edof <= cap)
-    if not ok.size:
-        return lams[-1]
+    ok = np.flatnonzero(edof <= cap)  # holds at lams[-1]: there edof < 3 <= cap
     rss = np.sum((ld[ok] / (1.0 + ld[ok]) * z) ** 2, axis=1)
     return lams[ok[np.argmin(m * rss / (m - edof[ok]) ** 2)]]  # the first minimum
 

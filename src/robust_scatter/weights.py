@@ -52,8 +52,8 @@ def weight(u, spec: WeightSpec = WeightSpec()):
 
     For the hard-threshold kind this is ``e^{-u}`` while ``u < ln(1/alpha)``
     and exactly 0 from the boundary on (strict inequality, no epsilon band).
-    The comparison is done in log space so that it agrees bit-for-bit with
-    the trimming-ball predicate.
+    This weight defines the trimming ball: an observation is active, inside
+    it, exactly when its weight is positive (``estimator.in_ball``).
     """
     u = np.asarray(u, dtype=float)
     if np.any(u < 0):

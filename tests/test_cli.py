@@ -59,6 +59,13 @@ def test_load_csv_passthrough_bit_exact(tmp_path):
     assert np.array_equal(data.X, np.array(vals))
 
 
+def test_load_csv_empty_file(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_bytes(b"")
+    with pytest.raises(EmptyData, match="file is empty"):
+        load_csv(path)
+
+
 def test_load_csv_header_only(tmp_path):
     path = tmp_path / "t.csv"
     write_csv(path, [], ["a", "b"])

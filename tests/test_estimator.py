@@ -377,6 +377,18 @@ def test_full_fit_matches_row_layout_reference(p, variant):
 # ----------------------------------------------------------- solution paths
 
 
+def test_fit_full_metric_init_under_diagonal_options(rng):
+    # the options name the metric: a full-metric init is read by its diagonal
+    data = DataSet(gaussian_data(300, 3, rng=rng))
+    base = initial_estimate(data)
+    V = 4.0 * base.V + 0.1 * np.sqrt(np.outer(np.diag(base.V), np.diag(base.V)))
+    full = fit_sppca(data, 4.0, init=LocationScatter(base.mu, V))
+    diag = fit_sppca(data, 4.0, init=LocationScatter(base.mu, V, diag_approx=True))
+    assert full.ls.diag_approx and full.iterations == diag.iterations
+    assert np.array_equal(full.ls.mu, diag.ls.mu) and np.array_equal(full.ls.V, diag.ls.V)
+    assert np.array_equal(full.active_mask, diag.active_mask)
+
+
 def test_solution_set_singleton_matches_single_fit(rng):
     X = gaussian_data(300, 3, rng=rng)
     data = DataSet(X)
@@ -393,6 +405,16 @@ def test_solution_set_validates_grid(rng):
         solution_set(data, [])
     with pytest.raises(ValueError):
         solution_set(data, [2.0, 2.0])
+
+
+@pytest.mark.parametrize("diag_approx", [True, False], ids=["diag", "full"])
+def test_solution_set_rejects_nonpositive_scales(rng, diag_approx):
+    # a bad scale is a bad argument, not a failed fit
+    data = DataSet(gaussian_data(100, 2, rng=rng))
+    opts = FitOptions(diag_approx=diag_approx)
+    for grid, bad in (([-1.0, 2.0], "-1"), ([0.0, 2.0], "0"), ([1.0, np.nan], "nan")):
+        with pytest.raises(ValueError, match=f"grid scales must be positive, got {bad}$"):
+            solution_set(data, grid, opts=opts)
 
 
 def test_solution_set_shape_uniqueness(rng):

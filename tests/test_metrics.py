@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -313,6 +314,19 @@ def test_empirical_if_linearity_in_eps():
     q2 = empirical_if("location", x, ref, eps=5e-4, spec=SPEC, opts=IF_OPTS,
                       base=base, linearity_tol=None)
     assert np.linalg.norm(q1 - q2) <= 0.05 * np.linalg.norm(q1)
+
+
+def test_empirical_if_linearity_check_warns():
+    ref = gaussian_reference(2, np.diag([2.0, 0.5]), n=2000)
+    base = unit_scale_fit(ref, spec=SPEC, opts=IF_OPTS)
+    x = np.array([0.9, 0.3])
+    with pytest.warns(UserWarning, match="influence quotient not linear at eps=0.001"):
+        empirical_if("location", x, ref, spec=SPEC, opts=IF_OPTS, base=base,
+                     linearity_tol=1e-12)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = empirical_if("location", x, ref, spec=SPEC, opts=IF_OPTS, base=base)
+    assert np.all(np.isfinite(out)) and np.linalg.norm(out) > 0
 
 
 def test_empirical_if_matches_closed_form_location():

@@ -14,6 +14,7 @@ from robust_scatter import (
     sample_mvt,
     similarity_rho,
 )
+from robust_scatter import simgen
 from robust_scatter.simgen import replicate_seed
 
 
@@ -215,10 +216,12 @@ def test_run_experiment_rejects_unknown_method():
         run_experiment(cfg, methods=("robpca",), replicates=1)
 
 
-def test_run_experiment_too_few_usable_fits_fails_every_method():
+def test_run_experiment_too_few_usable_fits_fails_every_method(monkeypatch):
     # three of the six scales trim every observation: no curve, no method
+    monkeypatch.setattr(simgen, "_default_grid",
+                        lambda p: np.array([0.001, 0.002, 0.003, 5.0, 6.0, 7.0]))
     cfg = SimConfig(n=100, p=5, k=2, nu=10.0, pi=0.0, c=1.0, seed=1)
-    table = run_experiment(cfg, replicates=1, grid=[0.001, 0.002, 0.003, 5.0, 6.0, 7.0])
+    table = run_experiment(cfg, replicates=1)
     assert all(r["rho"] is None for r in table.replicates)
     assert all(row["n_fail"] == 1 for row in table.rows)
 

@@ -105,6 +105,15 @@ def test_build_grid_not_found():
         build_grid(DataSet(X), ell=0.2, m=10)
 
 
+def test_build_grid_ell_above_top_ar():
+    # 40 of 100 rows lie far out, so no scale on the scan reaches AR 0.7
+    rng = np.random.default_rng(0)
+    X = rng.standard_normal((100, 2))
+    X[60:] += 1e6
+    with pytest.raises(GridNotFound, match=r"AR never reached 0.7 on the scan range"):
+        build_grid(DataSet(X), ell=0.7, m=10)
+
+
 def test_build_grid_ends_at_top_scan_ar():
     # one far outlier in 1001 rows keeps AR at 1000/1001, within 0.005 of 1:
     # the grid ends where the scan's highest AR is first reached
