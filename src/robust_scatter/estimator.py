@@ -21,8 +21,9 @@ For stability at large p, squared distances can be computed against the
 diagonal of V instead of the full matrix (``diag_approx``, on by default).
 Under that metric (mu, diag V) is a closed iteration: the fits of a whole
 solution path iterate it together as a few matrix products per step, and
-each fit forms its full p x p scatter once, from the state its last step
-started from.  Full-matrix distances are d_i = ||L^{-1}(x_i - mu)||^2 with
+a fit's full p x p scatter, the update its last step makes, is formed only
+when its ``ls`` is first read (``tune`` reads only active ratios, so it
+forms none).  Full-matrix distances are d_i = ||L^{-1}(x_i - mu)||^2 with
 V = L L^T: one Cholesky factor and one p x p triangular inverse per call,
 then one matrix product whitens all observations, and a sum of squares can
 never be negative.  The full-metric iteration holds the observations as
@@ -35,6 +36,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 import scipy.linalg
@@ -144,15 +146,36 @@ class LocationScatter:
         return self.mu.size
 
 
+class _FormedOnRead:
+    """A dataclass field that may be given as a ``functools.partial``: the
+    first read calls it and keeps its result in the partial's place."""
+
+    def __set_name__(self, owner, name):
+        self.slot = "_" + name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            raise AttributeError(self.slot[1:])  # no class-level default
+        value = obj.__dict__[self.slot]
+        if isinstance(value, partial):
+            value = obj.__dict__[self.slot] = value()
+        return value
+
+    def __set__(self, obj, value):
+        obj.__dict__[self.slot] = value
+
+
 @dataclass(frozen=True)
 class FitResult:
     """Converged (or flagged) state of one fixed-point run.
 
     ``residual`` is the relative change of the last step: of (mu, diag V)
-    under the diagonal metric, of (mu, V) under the full one.
+    under the diagonal metric, of (mu, V) under the full one.  A
+    diagonal-metric fit's ``ls`` is formed on its first read, then kept;
+    its diagonal is the final diag V that ``active_mask`` was computed from.
     """
 
-    ls: LocationScatter
+    ls: LocationScatter = _FormedOnRead()
     a: float
     active_mask: np.ndarray
     active_ratio: float
@@ -429,6 +452,28 @@ def _diag_distances(Z, M, v):
     return np.maximum(d, 0.0, out=d)
 
 
+# Every diagonal-metric distance takes the reciprocal of diag V, which can
+# overflow below the smallest normal double.
+_MIN_DIAGONAL = np.finfo(float).tiny
+_BAD_DIAGONAL = "diagonal of V has non-positive or subnormal entries"
+
+
+def _bad_diagonals(v):
+    """The rows of v with an entry that is not a positive normal double."""
+    return ~(v >= _MIN_DIAGONAL).all(axis=1)
+
+
+def _diag_scatter(Xc, w, m, s1, sw, swd, tau, mu, v):
+    """The state at which a diagonal-metric fit ended: location mu, and the
+    full scatter update ``_step`` makes from location m with weights w, in
+    the expanded form about the centring of the rows Xc (s1 = w^T Xc,
+    sw = sum w, swd = sum w d), with v, the kernel's diag V, as diagonal."""
+    C = Xc.T @ (Xc * w[:, None]) - np.outer(m, s1) - np.outer(s1, m)
+    V = _scatter(C + sw * np.outer(m, m), swd, tau)
+    np.fill_diagonal(V, v)
+    return LocationScatter(mu, V, diag_approx=True)
+
+
 def _diag_fits(data, scales, mu0, v0, spec, opts, tau=0.0) -> list:
     """Diagonal-metric fits from (mu0, diag v0[j]), v0 > 0, one per scale,
     iterated together.
@@ -444,13 +489,18 @@ def _diag_fits(data, scales, mu0, v0, spec, opts, tau=0.0) -> list:
     or its ``tau`` blend, with the rows centred at ``mu0`` to keep the
     expanded form's cancellation small.  A fit leaves the block when
     (mu, diag V) moves by at most ``opts.tol`` relative, when it fails, or
-    at ``opts.max_iter``.  Only then is its full p x p scatter formed, as
-    the update ``_step`` makes from the state that pass started from (in
-    the same expanded form, with that pass's weights), so a fit of k
-    iterations is exactly k applications of the map; its active set comes
-    from the same distance kernel.  Each entry of the result is a FitResult
-    or, for a failed fit, its ``_fit_error``, with the active count taken at
-    the last completed step (None before the first).
+    at ``opts.max_iter``.  A diagonal entry that is not a positive normal
+    double fails the fit (SingularScatter), as every distance takes its
+    reciprocal.  The active sets of the fits that end in a pass come from
+    one distance call on their final (mu, diag V).  Each such fit keeps
+    what its full p x p scatter needs, the update ``_step`` makes from the
+    state that pass started from (in the same expanded form, with that
+    pass's weights), so a fit of k iterations is exactly k applications of
+    the map; the scatter is formed by ``_diag_scatter`` on the first read
+    of the fit's ``ls``, with the final diag V as its diagonal.  Each entry
+    of the result is a FitResult or, for a failed fit, its ``_fit_error``,
+    with the active count taken at the last completed step (None before
+    the first).
     """
     n, p = data.X.shape
     pi = data.effective_weights()
@@ -470,12 +520,11 @@ def _diag_fits(data, scales, mu0, v0, spec, opts, tau=0.0) -> list:
         return int(np.count_nonzero(weight(_diag_distances(Z, Ms[j:j + 1], vs[j:j + 1]), spec)))
 
     for it in range(1, opts.max_iter + 1):
-        bad = np.any(v <= 0.0, axis=1)
+        bad = _bad_diagonals(v)
         if bad.any():
             for j in np.flatnonzero(bad):
-                ends[live[j]] = _fit_error(n, SingularScatter,
-                                           "diagonal of V has non-positive entries", it,
-                                           active(Mp, vp, j))
+                ends[live[j]] = _fit_error(n, SingularScatter, _BAD_DIAGONAL, it,
+                                           active(Mp, vp, j) if it > 1 else None)
             M, v, live, Mp, vp = M[~bad], v[~bad], live[~bad], Mp[~bad], vp[~bad]
             if not live.size:
                 break
@@ -484,7 +533,7 @@ def _diag_fits(data, scales, mu0, v0, spec, opts, tau=0.0) -> list:
         W *= pi[:, None]
         sw = W.sum(axis=0)
         swd = np.einsum("ij,ij->j", W, d)
-        del d  # n x block: free it before the full scatters below
+        del d  # n x block: free it before the active sets' distances below
         bad = (sw <= 0.0) | (swd <= 0.0)
         if bad.any():
             for j in np.flatnonzero(bad):
@@ -506,19 +555,19 @@ def _diag_fits(data, scales, mu0, v0, spec, opts, tau=0.0) -> list:
         r_v = np.linalg.norm(v_new - v, axis=1) / (1.0 + np.linalg.norm(v, axis=1))
         residual = np.maximum(r_mu, r_v)
         done = (residual <= opts.tol) | (it == opts.max_iter)
-        W = W[:, done]  # only the fits that end now need their weights again
-        for k, j in enumerate(np.flatnonzero(done)):
-            m, s1 = M[j], S1[j]
-            C = Xc.T @ (Xc * W[:, k:k + 1]) - np.outer(m, s1) - np.outer(s1, m)
-            V = _scatter(C + sw[j] * np.outer(m, m), swd[j], tau)
-            try:
-                ls = LocationScatter(mu_new[j] + mu0, V, diag_approx=True)
-            except SingularScatter as exc:
-                ends[live[j]] = _fit_error(n, type(exc), str(exc), it, active(M, v, j))
-                continue
-            mask = weight(_diag_distances(Z, mu_new[j:j + 1], np.diag(V)[None, :]), spec) > 0
-            ends[live[j]] = _finish(data, ls, scales[live[j]], it,
-                                    bool(residual[j] <= opts.tol), float(residual[j]), mask[:, 0])
+        bad = done & _bad_diagonals(v_new)
+        for j in np.flatnonzero(bad):
+            ends[live[j]] = _fit_error(n, SingularScatter, _BAD_DIAGONAL, it, active(M, v, j))
+        ended = np.flatnonzero(done & ~bad)
+        if ended.size:
+            # the active sets: the trimming balls of the final states (in_ball)
+            masks = weight(_diag_distances(Z, mu_new[ended], v_new[ended]), spec) > 0
+            for k, j in enumerate(ended):
+                ls = partial(_diag_scatter, Xc, W[:, j].copy(), M[j], S1[j], sw[j], swd[j], tau,
+                             mu_new[j] + mu0, v_new[j])
+                ends[live[j]] = _finish(data, ls, scales[live[j]], it,
+                                        bool(residual[j] <= opts.tol), float(residual[j]),
+                                        masks[:, k])
         Mp, vp = M[~done], v[~done]
         M, v, live = mu_new[~done], v_new[~done], live[~done]
         if not live.size:
@@ -537,7 +586,8 @@ def solution_set(
     Under the diagonal metric the scales run through one batched iteration
     in blocks of at most p, so its n x block temporaries are never larger
     than the data; each fit is the one ``fit_sppca`` returns at its scale,
-    up to rounding.  Under the full metric the fits run one after another.
+    up to rounding, and forms its full scatter only when its ``ls`` is
+    read.  Under the full metric the fits run one after another.
     Failed fits (empty active set, degenerate step, singular scatter) are
     recorded in place with ``converged=False``, the error message and the
     iteration at which the fit failed, instead of aborting the path.  The
@@ -591,18 +641,33 @@ def tau_scale(x: np.ndarray) -> float:
     bisquare-weighted location (tuning constant 4.5), then the square root of
     the truncated second moment (tuning constant 3.0), divided by the
     Gaussian consistency factor.  A sample whose MAD is below 1e-12 has
-    scale 0.
+    scale 0.  Raises ValueError for an empty sample or a non-finite entry.
     """
-    return float(_tau_scales(np.asarray(x, dtype=float).reshape(1, -1))[1][0])
+    x = np.asarray(x, dtype=float).reshape(1, -1)
+    if x.size == 0 or not np.all(np.isfinite(x)):
+        raise ValueError("the sample must be nonempty and finite")
+    return float(_tau_scales(x)[1][0])
+
+
+def _row_medians(A):
+    """Medians of the rows of the finite 2-D array A, equal to
+    ``np.median(A, axis=1)``, from one partition of a copy of A."""
+    n = A.shape[1]
+    part = np.partition(A, n // 2, axis=1)
+    upper = part[:, n // 2].copy()  # not a view that keeps the copy of A alive
+    if n % 2:
+        return upper
+    # the lower middle element is the largest of the lower half
+    return (part[:, :n // 2].max(axis=1) + upper) / 2.0
 
 
 def _tau_scales(XT):
-    """Medians and tau-scales (``tau_scale``) of the rows of the p x n array
-    XT, computed together in one p x n work array."""
-    med = np.median(XT, axis=1)
+    """Medians and tau-scales (``tau_scale``) of the rows of the finite
+    p x n array XT, computed together in one p x n work array."""
+    med = _row_medians(XT)
     A = XT - med[:, None]
     np.abs(A, out=A)
-    s0 = np.median(A, axis=1)
+    s0 = _row_medians(A)
     flat = s0 < 1e-12
     s0[flat] = 1.0  # their scale is 0; any positive value avoids 0 / 0
     # both weights clip before squaring, so far points cannot overflow

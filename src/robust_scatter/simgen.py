@@ -244,8 +244,11 @@ def _one_replicate(cfg, rep, methods, spec, opts):
         return {m: None for m in methods}
     sel = select_a_star(curve)
 
-    rhos = {f.a: similarity_rho(pca(f.ls, cfg.k).eigenvectors, truth.Gamma_k)
-            for f in path if f.error is None}
+    # the scatters are formed together, before the PCAs: interleaving the
+    # two is slower
+    scatters = {f.a: f.ls for f in path if f.error is None}
+    rhos = {a: similarity_rho(pca(ls, cfg.k).eigenvectors, truth.Gamma_k)
+            for a, ls in scatters.items()}
     astar_fit = next(f for f in path if f.a == sel.a_star)
 
     if "sppca_astar" in methods:

@@ -61,10 +61,12 @@ def weight(u, spec: WeightSpec = WeightSpec()):
     if spec.kind == UNIT:
         out = np.ones_like(u)
     else:
-        # in place: a block of distances costs one array of weights
-        out = np.empty_like(u)
-        np.exp(np.negative(u, out=out), out=out)
-        out[~(u < spec.cutoff)] = 0.0
+        # clamped at the cutoff, so exp never underflows (and NaN leaves it),
+        # then zeroed from the cutoff on by one multiply; a block of
+        # distances costs one array of weights and one of flags
+        out = np.fmin(u, spec.cutoff, out=np.empty_like(u))
+        np.exp(np.negative(out, out=out), out=out)
+        out *= u < spec.cutoff
     return out if out.ndim else float(out)
 
 

@@ -1,5 +1,6 @@
 import gc
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import scipy.stats
 
 from robust_scatter import (
     DataSet,
+    SimConfig,
     DegenerateScale,
     DegenerateStep,
     EmptyActiveSet,
@@ -18,6 +20,8 @@ from robust_scatter import (
     estimating_equation_residual,
     fit_sppca,
     fit_tme,
+    gen_mixture,
+    in_ball,
     initial_estimate,
     mahalanobis,
     pca,
@@ -31,8 +35,11 @@ from robust_scatter.estimator import (
     TAU_SCALE_GAUSSIAN_CONSISTENCY,
     _diag_distances,
     _diag_fits,
+    _diag_scatter,
+    _row_medians,
     squared_distances,
 )
+from robust_scatter.tuning import build_grid, select_a_star, smooth_curve
 from robust_scatter.weights import UNIT
 
 from conftest import gaussian_data
@@ -574,6 +581,80 @@ def test_failed_fit_leaves_no_reference_cycle(rng):
         gc.enable()
 
 
+def test_in_ball_agrees_with_fitted_active_sets():
+    # the batched kernels' active sets are the trimming balls of the states
+    # they return: in_ball reads the same distances for every row of every
+    # usable fit of both metrics' paths and of single fits, converged or cut
+    # off after two steps (where a step still moves the state far)
+    data, _ = gen_mixture(SimConfig(n=150, p=6, k=2, nu=10, pi=0.15, c=4, seed=3))
+    grid = np.geomspace(0.3, 30.0, 10)
+    cut = FitOptions(max_iter=2)
+    fits = (solution_set(data, grid) + solution_set(data, grid, opts=cut)
+            + solution_set(data, grid[::3], opts=FULL)
+            + [fit_sppca(data, 6.0), fit_sppca(data, 6.0, tau=0.5), fit_sppca(data, 6.0, opts=cut)])
+    usable = [f for f in fits if f.error is None]
+    assert len(usable) >= 20 and len({int(f.active_mask.sum()) for f in usable}) >= 10
+    for f in usable:
+        assert [in_ball(x, f.ls) for x in data.X] == list(f.active_mask)
+    # at the boundary itself, and at the doubles on either side of it
+    c = WeightSpec().cutoff
+    for diag in (True, False):
+        ls = LocationScatter(np.zeros(2), np.eye(2), diag_approx=diag)
+        for t, inside in ((np.nextafter(c, 0.0), True), (c, False), (np.nextafter(c, 4.0), False)):
+            points = [np.array([a, b + k * math.ulp(b)])
+                      for a in (0.0, 0.5, 1.0) for b in [math.sqrt(t - a * a)] for k in range(-3, 4)]
+            hits = [x for x in points if mahalanobis(x, ls) == t]
+            assert hits and all(in_ball(x, ls) == inside for x in hits)
+
+
+def test_diag_fit_forms_its_scatter_on_first_read(rng, monkeypatch):
+    # tune reads only active ratios, so it forms no scatter; a read forms
+    # one, once, with the kernel's diag V as its diagonal
+    formed = []
+
+    def counting(*args):
+        formed.append(args)
+        return _diag_scatter(*args)
+
+    monkeypatch.setattr("robust_scatter.estimator._diag_scatter", counting)
+    data = DataSet(gaussian_data(300, 5, V=np.diag([5.0, 4.0, 3.0, 2.0, 1.0]), rng=rng))
+    path = solution_set(data, build_grid(data))
+    select_a_star(smooth_curve(path))
+    assert formed == []
+    fit = path[-1]
+    ls = fit.ls
+    assert len(formed) == 1 and fit.ls is ls
+    assert np.array_equal(np.diag(ls.V), formed[0][-1])
+    # a formed scatter can still be passed in
+    assert replace(fit, a=1.0).ls is ls
+    # a path dropped unread leaves no cycle for the garbage collector
+    gc.collect()
+    gc.disable()
+    try:
+        solution_set(data, [1.0, 5.0])
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_subnormal_diagonal_is_a_typed_failure(rng):
+    # an initial diagonal a * tau^2 below the smallest normal double would
+    # overflow in every distance's reciprocal; the fit fails as singular,
+    # with no warning (the suite turns warnings into errors), and the other
+    # scale of the path is the fit it is alone
+    data = DataSet(1e-11 * rng.standard_normal((50, 2)))
+    tiny, unit = solution_set(data, [1e-300, 1.0])
+    assert tiny.error == ("SingularScatter: diagonal of V has non-positive or subnormal "
+                          "entries (iteration 1)")
+    (alone,) = solution_set(data, [1.0])
+    assert unit.error is None and unit.iterations == alone.iterations
+    assert np.array_equal(unit.active_mask, alone.active_mask)
+    assert np.array_equal(unit.ls.V, alone.ls.V) and np.array_equal(unit.ls.mu, alone.ls.mu)
+    with pytest.raises(SingularScatter) as info:
+        fit_sppca(data, 1e-300)
+    assert (info.value.iteration, info.value.active) == (1, None)
+
+
 # ------------------------------------------------------- robust initializer
 
 
@@ -631,6 +712,20 @@ def test_initial_estimate_names_zero_mad_columns(rng):
     assert names == ["b", "c"]
     with pytest.raises(DegenerateScale, match=r"column\(s\): b, c$"):
         initial_estimate(DataSet(X, column_names=list("abcd")))
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 8, 1000, 1001])
+def test_row_medians_match_numpy(rng, n):
+    # odd and even lengths, with and without ties
+    for A in (rng.standard_normal((5, n)), rng.integers(0, 3, (5, n)).astype(float),
+              np.round(rng.standard_t(2, (5, n)), 1), np.zeros((5, n))):
+        assert np.array_equal(_row_medians(A), np.median(A, axis=1))
+
+
+def test_tau_scale_rejects_non_finite_and_empty_samples():
+    for x in ([1.0, np.nan, 2.0, 3.0], [1.0, np.inf, 2.0], []):
+        with pytest.raises(ValueError, match="nonempty and finite"):
+            tau_scale(x)
 
 
 def test_tau_scale_consistency_constant():

@@ -81,22 +81,20 @@ def test_range_and_cutoff(u, alpha):
     assert weight_product(u, spec) <= math.exp(-1.0) + 1e-15
 
 
-def test_in_ball_matches_weight_positivity(rng):
-    from robust_scatter import mahalanobis
-
+def test_weight_matches_where_reference(rng):
+    # the clamped evaluation is bit-identical to the plain definition,
+    # including NaN and inf (weight 0) and the boundary itself
     spec = WeightSpec(alpha=0.05)
-    hits = 0
-    for _ in range(500):
-        p = int(rng.integers(1, 6))
-        A = rng.standard_normal((p, p))
-        V = A @ A.T + 0.5 * np.eye(p)
-        ls = LocationScatter(rng.standard_normal(p), V)
-        for _ in range(200):
-            x = ls.mu + rng.standard_normal(p) * rng.uniform(0.1, 6.0)
-            d = mahalanobis(x, ls)
-            assert in_ball(x, ls, spec) == (weight(d, spec) > 0.0)
-            hits += 1
-    assert hits == 100_000
+    c = spec.cutoff
+    edges = np.array([0.0, -0.0, 5e-324, 1.0, np.nextafter(c, 0.0), c, np.nextafter(c, np.inf),
+                      700.0, 800.0, 1e308, np.inf, np.nan])
+    for u in (rng.exponential(2.0, (200, 7)), edges, edges.reshape(3, 4),
+              np.where(rng.random(500) < 0.1, np.nan, rng.uniform(0.0, 2.0 * c, 500))):
+        ref = np.where(u < c, np.exp(-u), 0.0)
+        np.testing.assert_array_equal(weight(u, spec), ref)
+    for u in edges:
+        w = weight(u, spec)
+        assert type(w) is float and w == np.where(u < c, np.exp(-u), 0.0)
 
 
 def test_in_ball_examples():
