@@ -26,10 +26,14 @@ when its ``ls`` is first read (``tune`` reads only active ratios, so it
 forms none).  Full-matrix distances are d_i = ||L^{-1}(x_i - mu)||^2 with
 V = L L^T: one Cholesky factor and one p x p triangular inverse per call,
 then one matrix product whitens all observations, and a sum of squares can
-never be negative.  The full-metric iteration holds the observations as
-the columns of a p x n copy of X^T, with two p x n work arrays (centred,
-whitened) beside it, all allocated once per fit, so each step's
-element-wise work runs along n and allocates no n x p temporary.
+never be negative.  The factor and its inverse are LAPACK's ``dpotrf`` and
+``dtrtri``, from ``scipy.linalg``, imported inside the kernel on its first
+call: numpy has no triangular inverse, and importing this module loads
+numpy only, so a diagonal-metric run never loads scipy.  The full-metric
+iteration holds the observations as the columns of a p x n copy of X^T,
+with two p x n work arrays (centred, whitened) beside it, all allocated
+once per fit, so each step's element-wise work runs along n and allocates
+no n x p temporary.
 """
 
 from __future__ import annotations
@@ -39,7 +43,6 @@ from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     DegenerateScale,
@@ -211,7 +214,9 @@ def _cholesky(V: np.ndarray) -> np.ndarray:
     The one positive-definiteness rule of the package: raises SingularScatter
     when LAPACK cannot factor V.
     """
-    L, info = scipy.linalg.lapack.dpotrf(V, lower=1, clean=1)
+    from scipy.linalg.lapack import dpotrf
+
+    L, info = dpotrf(V, lower=1, clean=1)
     if info != 0:
         raise SingularScatter("scatter matrix is not positive definite")
     return L
@@ -244,7 +249,9 @@ def _full_distances(D: np.ndarray, V: np.ndarray, Z: np.ndarray) -> np.ndarray:
     a column of Z, so it can never be negative.  Raises SingularScatter when
     V is not positive definite.
     """
-    Linv, info = scipy.linalg.lapack.dtrtri(_cholesky(V), lower=1, overwrite_c=1)
+    from scipy.linalg.lapack import dtrtri
+
+    Linv, info = dtrtri(_cholesky(V), lower=1, overwrite_c=1)
     if info != 0:
         raise SingularScatter("Cholesky factor of the scatter matrix is singular")
     np.matmul(Linv, D, out=Z)
@@ -463,13 +470,13 @@ def _bad_diagonals(v):
     return ~(v >= _MIN_DIAGONAL).all(axis=1)
 
 
-def _diag_scatter(Xc, w, m, s1, sw, swd, tau, mu, v):
+def _diag_scatter(Xc, w, m, swd, tau, mu, v):
     """The state at which a diagonal-metric fit ended: location mu, and the
-    full scatter update ``_step`` makes from location m with weights w, in
-    the expanded form about the centring of the rows Xc (s1 = w^T Xc,
-    sw = sum w, swd = sum w d), with v, the kernel's diag V, as diagonal."""
-    C = Xc.T @ (Xc * w[:, None]) - np.outer(m, s1) - np.outer(s1, m)
-    V = _scatter(C + sw * np.outer(m, m), swd, tau)
+    full scatter update ``_step`` makes from location m with weights w
+    (swd = sum w d), the weighted product of the rows Xc centred at m, with
+    v, the kernel's diag V, as diagonal."""
+    Y = Xc - m
+    V = _scatter((Y * w[:, None]).T @ Y, swd, tau)
     np.fill_diagonal(V, v)
     return LocationScatter(mu, V, diag_approx=True)
 
@@ -494,7 +501,7 @@ def _diag_fits(data, scales, mu0, v0, spec, opts, tau=0.0) -> list:
     reciprocal.  The active sets of the fits that end in a pass come from
     one distance call on their final (mu, diag V).  Each such fit keeps
     what its full p x p scatter needs, the update ``_step`` makes from the
-    state that pass started from (in the same expanded form, with that
+    state that pass started from (about that state's location, with that
     pass's weights), so a fit of k iterations is exactly k applications of
     the map; the scatter is formed by ``_diag_scatter`` on the first read
     of the fit's ``ls``, with the final diag V as its diagonal.  Each entry
@@ -563,7 +570,7 @@ def _diag_fits(data, scales, mu0, v0, spec, opts, tau=0.0) -> list:
             # the active sets: the trimming balls of the final states (in_ball)
             masks = weight(_diag_distances(Z, mu_new[ended], v_new[ended]), spec) > 0
             for k, j in enumerate(ended):
-                ls = partial(_diag_scatter, Xc, W[:, j].copy(), M[j], S1[j], sw[j], swd[j], tau,
+                ls = partial(_diag_scatter, Xc, W[:, j].copy(), M[j], swd[j], tau,
                              mu_new[j] + mu0, v_new[j])
                 ends[live[j]] = _finish(data, ls, scales[live[j]], it,
                                         bool(residual[j] <= opts.tol), float(residual[j]),
@@ -748,22 +755,30 @@ def fit_tme(
 
 
 def pca(ls: LocationScatter, k: int) -> PCAModel:
-    """Top-k eigenpairs of the scatter, descending, sign-normalized.
-
-    Only the top k eigenpairs are computed.  Sign convention: each
-    eigenvector's largest-magnitude entry is positive.
-    """
+    """Top-k eigenpairs of the scatter, as ``top_eigenpairs`` gives them."""
     p = ls.p
     if not 1 <= k <= p:
         raise ValueError(f"k must be in [1, {p}], got {k}")
-    # LocationScatter has checked that V is finite
-    vals, vecs = scipy.linalg.eigh(ls.V, subset_by_index=[p - k, p - 1], check_finite=False)
-    vals, vecs = vals[::-1], vecs[:, ::-1]
-    for j in range(k):
-        i = int(np.argmax(np.abs(vecs[:, j])))
-        if vecs[i, j] < 0:
-            vecs[:, j] = -vecs[:, j]
+    vals, vecs = top_eigenpairs(ls.V, k)
     return PCAModel(eigenvalues=vals, eigenvectors=vecs, k=k)
+
+
+def top_eigenpairs(V: np.ndarray, k: int):
+    """The top k eigenvalues, descending, and their eigenvectors of a
+    symmetric p x p matrix, or of each matrix of a b x p x p stack.  Each
+    eigenvector is negated where needed so that its first largest-magnitude
+    entry is positive.
+
+    They are the top k of numpy's full decomposition.  LAPACK's subset
+    solver is faster at large p, but reaching it means importing
+    ``scipy.linalg``, which costs a fresh process about 0.3 s: far more
+    than the one PCA that ``fit`` makes, or the 2 ms per simulator
+    replicate that the subset solver would save at p = 50.
+    """
+    vals, vecs = np.linalg.eigh(V)
+    vals, vecs = vals[..., ::-1][..., :k], vecs[..., ::-1][..., :k]
+    peak = np.argmax(np.abs(vecs), axis=-2)[..., None, :]
+    return vals, np.where(np.take_along_axis(vecs, peak, axis=-2) < 0, -vecs, vecs)
 
 
 def estimating_equation_residual(

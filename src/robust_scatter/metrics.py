@@ -9,8 +9,10 @@ radius.  A finite-perturbation oracle (``empirical_if``) differentiates the
 actual solver under a point-mass contamination and is the independent check
 the closed forms are tested against.
 
-``scipy.integrate`` is imported inside ``radial_integral``, its one user, so
-that importing the package (every CLI command does) does not pay for it.
+The similarity's singular values come from numpy.  ``scipy.integrate`` is
+imported inside ``radial_integral``, its one user, so that importing the
+package (every CLI command does) loads no ``scipy`` at all; the oracle's
+full-metric fits load ``scipy.linalg`` through the estimator's kernel.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DegenerateSpectrum, OracleFailure
 from .estimator import (
@@ -42,19 +43,29 @@ STUDENT_T = "student-t"
 _QUAD_KW = dict(epsabs=0.0, epsrel=1e-10, limit=400)
 
 
-def similarity_rho(Gamma_hat: np.ndarray, Gamma: np.ndarray) -> float:
+def similarity_rho(Gamma_hat: np.ndarray, Gamma: np.ndarray) -> float | np.ndarray:
     """Mean singular value of ``Gamma_hat' Gamma``: 1 for equal spans, 0 for
-    orthogonal ones.  Both arguments must be column-orthonormal p x k."""
+    orthogonal ones.  Both arguments must be column-orthonormal p x k.
+
+    ``Gamma_hat`` may also be a stack of b such bases (b x p x k), each
+    checked on its own; the result is then an array of b similarities, each
+    equal to the one its basis alone gives.
+    """
     A = np.asarray(Gamma_hat, dtype=float)
     B = np.asarray(Gamma, dtype=float)
-    if A.ndim != 2 or B.ndim != 2 or A.shape != B.shape:
+    if A.ndim not in (2, 3) or B.ndim != 2 or A.shape[-2:] != B.shape:
         raise ValueError(f"shape mismatch: {A.shape} vs {B.shape}")
-    k = A.shape[1]
-    for name, M in (("Gamma_hat", A), ("Gamma", B)):
-        if np.abs(M.T @ M - np.eye(k)).max() > 1e-8:
-            raise ValueError(f"{name} is not column-orthonormal within 1e-8")
-    s = scipy.linalg.svdvals(A.T @ B)
-    return float(np.clip(s, 0.0, 1.0).mean())
+    stack = A.reshape((-1, *B.shape))
+    k = B.shape[1]
+    for name, M in (("Gamma_hat", stack), ("Gamma", B)):
+        err = np.abs(np.swapaxes(M, -1, -2) @ M - np.eye(k)).max(axis=(-2, -1))
+        bad = np.flatnonzero(~(err <= 1e-8))  # NaN fails too
+        if bad.size:
+            which = f"{name}[{bad[0]}]" if M is stack and A.ndim == 3 else name
+            raise ValueError(f"{which} is not column-orthonormal within 1e-8")
+    s = np.linalg.svd(np.swapaxes(stack, -1, -2) @ B, compute_uv=False)
+    rho = np.clip(s, 0.0, 1.0).mean(axis=-1)
+    return rho if A.ndim == 3 else float(rho[0])
 
 
 @dataclass(frozen=True)

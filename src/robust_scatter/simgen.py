@@ -11,9 +11,11 @@ signal eigenvalues scaled up with the aspect ratio p/n.
 ``run_experiment`` evaluates estimator variants over seeded replicates and
 reports subspace-similarity summaries per configuration and method.
 
-The F quantile of ``gen_separable_mixture`` comes from ``scipy.special``,
-imported inside that function, so importing the package (every CLI command
-does) loads no ``scipy`` statistics code.
+A replicate takes the top-k eigenvectors of its path's scatters from one
+stacked ``numpy.linalg.eigh`` call and scores them in one stacked
+``similarity_rho`` call.  The F quantile of ``gen_separable_mixture`` comes
+from ``scipy.special``, imported inside that function, so importing the
+package (every CLI command does) loads no ``scipy``.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from .errors import RobustScatterError
-from .estimator import DataSet, FitOptions, fit_tme, pca, solution_set
+from .estimator import DataSet, FitOptions, fit_tme, pca, solution_set, top_eigenpairs
 from .metrics import similarity_rho
 from .tuning import select_a_star, smooth_curve
 from .weights import WeightSpec
@@ -244,11 +246,12 @@ def _one_replicate(cfg, rep, methods, spec, opts):
         return {m: None for m in methods}
     sel = select_a_star(curve)
 
-    # the scatters are formed together, before the PCAs: interleaving the
-    # two is slower
-    scatters = {f.a: f.ls for f in path if f.error is None}
-    rhos = {a: similarity_rho(pca(ls, cfg.k).eigenvectors, truth.Gamma_k)
-            for a, ls in scatters.items()}
+    # the scatters are formed together, before the eigendecompositions:
+    # interleaving the two is slower
+    usable = [f for f in path if f.error is None]
+    _, vecs = top_eigenpairs(np.stack([f.ls.V for f in usable]), cfg.k)
+    rho = similarity_rho(vecs, truth.Gamma_k)
+    rhos = dict(zip((f.a for f in usable), rho.tolist()))
     astar_fit = next(f for f in path if f.a == sel.a_star)
 
     if "sppca_astar" in methods:

@@ -312,7 +312,7 @@ def test_cli_out_dir_failure_is_structured_json(tmp_path, capsys):
     assert err["error"] == "NotADirectoryError"
 
 
-# scipy subpackages that no command needs at import time
+# scipy subpackages that no command loads
 OPTIONAL_SCIPY = {"scipy.stats", "scipy.integrate", "scipy.interpolate", "scipy.special",
                   "scipy.optimize", "scipy.sparse"}
 
@@ -331,15 +331,21 @@ def run_fresh(*args):
     return proc, loaded
 
 
+def scipy_modules(loaded):
+    return {m for m in loaded if m == "scipy" or m.startswith("scipy.")}
+
+
 def test_import_loads_no_optional_scipy():
-    # a subprocess, because the test modules import scipy.stats themselves
+    # a subprocess, because the test modules import scipy themselves
     proc, loaded = run_fresh("-c", "import robust_scatter, robust_scatter.cli")
     assert proc.returncode == 0, proc.stderr
-    assert "scipy.linalg" in loaded
-    assert not loaded & OPTIONAL_SCIPY
+    assert "numpy" in loaded
+    assert not scipy_modules(loaded)
 
 
 def test_cli_entry_point_subprocess(tmp_path):
+    # default-metric tune and fit, and the simulator, run on numpy alone; a
+    # full-metric fit imports scipy.linalg, and nothing more, on first use
     src = tmp_path / "data.csv"
     write_gaussian_csv(src, n=100, p=3, seed=8)
     out = tmp_path / "out"
@@ -347,20 +353,23 @@ def test_cli_entry_point_subprocess(tmp_path):
                              "--out-dir", str(out))
     assert proc.returncode == 0, proc.stderr
     assert (out / "tuning.json").exists()
-    assert "scipy.linalg" in loaded
-    assert not loaded & OPTIONAL_SCIPY
+    assert not scipy_modules(loaded)
     proc, loaded = run_fresh("-m", "robust_scatter.cli", "fit", str(src), "--tuning",
                              str(out / "tuning.json"), "--k", "1", "--out-dir", str(out))
     assert proc.returncode == 0, proc.stderr
     assert (out / "model.json").exists()
+    assert not scipy_modules(loaded)
+    proc, loaded = run_fresh("-m", "robust_scatter.cli", "fit", str(src), "--a", "5",
+                             "--k", "1", "--full-mahalanobis", "--out-dir", str(out / "full"))
+    assert proc.returncode == 0, proc.stderr
+    assert (out / "full" / "model.json").exists()
     assert "scipy.linalg" in loaded
     assert not loaded & OPTIONAL_SCIPY
     proc, loaded = run_fresh("-m", "robust_scatter.cli", "benchmark", "--n", "60", "--p", "4",
                              "--k", "1", "--replicates", "1", "--out-dir", str(out))
     assert proc.returncode == 0, proc.stderr
     assert (out / "experiment.json").exists()
-    assert "scipy.linalg" in loaded
-    assert not loaded & OPTIONAL_SCIPY
+    assert not scipy_modules(loaded)
 
 
 def test_cmd_benchmark_with_overrides(tmp_path):

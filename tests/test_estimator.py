@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.integrate
+import scipy.linalg
 import scipy.stats
 
 from robust_scatter import (
@@ -864,6 +865,23 @@ def test_pca_top_k_matches_full_decomposition(rng):
         ref = vecs[:, p - 1 - j]
         ref = ref if ref[np.argmax(np.abs(ref))] > 0 else -ref
         np.testing.assert_allclose(model.eigenvectors[:, j], ref, atol=1e-10)
+
+
+@pytest.mark.parametrize("p,k", [(3, 1), (3, 3), (10, 1), (10, 5), (10, 10), (50, 1), (50, 5),
+                                 (50, 50), (100, 1), (100, 5), (100, 100)])
+def test_pca_matches_scipy_subset_solver(p, k):
+    # LAPACK's subset solver, as scipy.linalg.eigh calls it, is the reference
+    rng = np.random.default_rng(p)
+    A = rng.standard_normal((p, p))
+    V = A @ A.T / p + 0.1 * np.eye(p)
+    model = pca(LocationScatter(np.zeros(p), 0.5 * (V + V.T)), k)
+    vals, vecs = scipy.linalg.eigh(0.5 * (V + V.T), subset_by_index=[p - k, p - 1])
+    vals, vecs = vals[::-1], vecs[:, ::-1]
+    np.testing.assert_allclose(model.eigenvalues, vals, rtol=1e-12, atol=0)
+    peak = np.argmax(np.abs(model.eigenvectors), axis=0)
+    assert np.all(model.eigenvectors[peak, np.arange(k)] > 0)
+    vecs = vecs * np.sign(vecs[np.argmax(np.abs(vecs), axis=0), np.arange(k)])
+    np.testing.assert_allclose(model.eigenvectors, vecs, rtol=0, atol=1e-10)
 
 
 def test_pca_k_out_of_range():

@@ -65,6 +65,39 @@ def test_rho_validates_inputs():
         similarity_rho(G, np.eye(3))
     with pytest.raises(ValueError):
         similarity_rho(2.0 * G, G)
+    with pytest.raises(ValueError, match="shape mismatch"):
+        similarity_rho(np.stack([G, G])[None], G)
+    # a non-finite basis fails the orthonormality check, alone or stacked
+    bad = G.copy()
+    bad[0, 0] = np.nan
+    with pytest.raises(ValueError, match="Gamma_hat is not column-orthonormal"):
+        similarity_rho(bad, G)
+    with pytest.raises(ValueError, match="Gamma is not column-orthonormal"):
+        similarity_rho(G, bad)
+    with pytest.raises(ValueError, match=r"Gamma_hat\[1\] is not column-orthonormal"):
+        similarity_rho(np.stack([G, bad, G]), G)
+
+
+def random_bases(rng, b, p, k):
+    return np.stack([np.linalg.qr(rng.standard_normal((p, k)))[0] for _ in range(b)])
+
+
+def test_rho_of_a_stack_is_the_per_basis_loop(rng):
+    for p, k in ((6, 1), (10, 3), (50, 5)):
+        stack = random_bases(rng, 7, p, k)
+        G = random_bases(rng, 1, p, k)[0]
+        rho = similarity_rho(stack, G)
+        assert rho.shape == (7,)
+        assert np.array_equal(rho, [similarity_rho(A, G) for A in stack])
+
+
+def test_rho_of_a_stack_checks_each_basis(rng):
+    stack = random_bases(rng, 5, 8, 2)
+    stack[3, :, 1] *= 1.0 + 1e-6
+    with pytest.raises(ValueError, match=r"Gamma_hat\[3\] is not column-orthonormal"):
+        similarity_rho(stack, stack[0])
+    with pytest.raises(ValueError, match="Gamma is not column-orthonormal"):
+        similarity_rho(stack[:3], stack[3])
 
 
 # ------------------------------------------------------------ radial specs
@@ -282,6 +315,63 @@ def test_unit_scale_search_computes_initial_estimate_once(monkeypatch):
     # each secant fit is the cold start fit_sppca makes at its scale
     cold = fit_sppca(ref, fit.a, spec=SPEC, opts=IF_OPTS)
     assert np.array_equal(fit.ls.V, cold.ls.V) and np.array_equal(fit.ls.mu, cold.ls.mu)
+
+
+def test_unit_scale_fit_defaults_and_a_hint_on_target(monkeypatch):
+    ref = gaussian_reference(2, np.diag([2.0, 0.5]), n=2000)
+    fit = unit_scale_fit(ref)  # the oracle's options by default
+    assert fit.converged and not fit.ls.diag_approx
+    assert fit.iterations > 1 and fit.residual <= IF_OPTS.tol
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return fit_sppca(*args, **kwargs)
+
+    monkeypatch.setattr(metrics, "fit_sppca", counted)
+    # a hint already at unit scale is returned after its one fit
+    again = unit_scale_fit(ref, opts=IF_OPTS, a_hint=fit.a)
+    assert len(calls) == 1
+    assert again.a == pytest.approx(fit.a, rel=1e-14)
+    np.testing.assert_allclose(again.ls.V, fit.ls.V, rtol=1e-12)
+
+
+def swap_symmetric_reference(n=4000, seed=1):
+    """A sample closed under (x1, x2) -> (-x2, -x1): its fits have top
+    eigenvector +-(1, -1)/sqrt 2, whose two entries are equal in magnitude
+    up to rounding, so the sign rule's choice turns on the last bit."""
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((n // 2, 2)) @ np.linalg.cholesky([[2.0, -1.5], [-1.5, 2.0]]).T
+    return DataSet(np.vstack([X, -X[:, ::-1]]))
+
+
+def test_empirical_if_eigvec_aligns_a_flipped_sign(monkeypatch):
+    ref = swap_symmetric_reference()
+    base = unit_scale_fit(ref)
+    g = metrics._normalized_eigen(base)[1][:, 0]
+    np.testing.assert_allclose(np.abs(g), np.sqrt(0.5), rtol=1e-10)
+    # mass on the axis of the smaller entry tips the sign rule to that entry
+    x = np.array([0.0, 1.0]) if abs(g[0]) >= abs(g[1]) else np.array([1.0, 0.0])
+    seen = []
+    original = metrics._normalized_eigen
+
+    def recorded(fit):
+        out = original(fit)
+        seen.append(out[1][:, 0])
+        return out
+
+    monkeypatch.setattr(metrics, "_normalized_eigen", recorded)
+    # no opts and no base: the oracle's options and the unit-scale fit.  A
+    # hard-trimmed fit on 4000 rows is not linear in eps at this point (its
+    # active set moves), which the flip does not depend on.
+    out = empirical_if("eigvec", x, ref, j=0, linearity_tol=None)
+    assert len(seen) == 2  # the base, then the perturbed fit
+    assert np.array_equal(seen[0], g)
+    assert seen[1] @ g < 0  # the perturbed fit came back flipped
+    # aligned, the quotient is a small rotation of g: without the flip it
+    # would be about -2 g / eps, of norm 2000
+    assert np.linalg.norm(out) < 10.0
+    assert abs(out @ g) < 1e-2 * np.linalg.norm(out)
 
 
 def test_empirical_if_trimmed_point_is_exact_zero():

@@ -11,10 +11,13 @@ from robust_scatter import (
     gen_separable_mixture,
     random_orthogonal,
     run_experiment,
+    pca,
     sample_mvt,
     similarity_rho,
+    solution_set,
 )
 from robust_scatter import simgen
+from robust_scatter.estimator import top_eigenpairs
 from robust_scatter.simgen import replicate_seed
 
 
@@ -170,6 +173,18 @@ def test_replicate_seed_is_stable():
     assert replicate_seed(42, 0) == replicate_seed(42, 0)
     assert replicate_seed(42, 0) != replicate_seed(42, 1)
     assert replicate_seed(42, 0) != replicate_seed(43, 0)
+
+
+@pytest.mark.parametrize("n,p,k", [(250, 20, 3), (250, 50, 5), (400, 100, 5)])
+def test_replicate_batch_eigenvectors_match_pca(n, p, k):
+    # a replicate decomposes its path's scatters as one stack
+    data, _ = gen_mixture(SimConfig(n=n, p=p, k=k, nu=10.0, pi=0.15, c=4.0, seed=p))
+    path = [f for f in solution_set(data, simgen._default_grid(p)) if f.error is None]
+    assert len(path) >= 10
+    _, batch = top_eigenpairs(np.stack([f.ls.V for f in path]), k)
+    assert batch.shape == (len(path), p, k)
+    for f, vecs in zip(path, batch):
+        np.testing.assert_allclose(vecs, pca(f.ls, k).eigenvectors, rtol=0, atol=1e-10)
 
 
 def test_run_experiment_single_row():
