@@ -21,6 +21,7 @@ import csv
 import json
 import os
 import sys
+from functools import cache
 from itertools import product
 
 import numpy as np
@@ -225,6 +226,7 @@ def _add_common(sp, with_input=True):
     sp.add_argument("--out-dir", default=".", help="output directory")
 
 
+@cache  # main asks for it on every call: one build per process
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="robust-scatter", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)

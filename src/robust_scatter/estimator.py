@@ -11,11 +11,11 @@ data carries explicit weights).  The solver iterates this map from an initial
 (mu_tilde, a * V_tilde); the initialization scale ``a`` selects which member
 of the solution family the iteration converges to.
 
-A ridge blend toward the identity for p > n (``tau`` in ``fit_sppca``), an
-unweighted Tyler-type baseline (``fit_tme``; Tyler's M-estimator only under
-the full metric, since it measures distances by the metric its options
-name), the robust initializer (column medians and tau-scales), and the
-eigendecomposition used for PCA output live here as well.
+A ridge blend toward the identity for p > n (``tau`` in ``fit_sppca``), a
+Tyler-type baseline (``fit_tme``: the same map at a fixed mu with weight
+1/d, Tyler's M-estimator under the full metric), the robust initializer
+(column medians and tau-scales), and the eigendecomposition used for PCA
+output live here as well.
 
 For stability at large p, squared distances can be computed against the
 diagonal of V instead of the full matrix (``diag_approx``, on by default).
@@ -68,6 +68,17 @@ FIT_FAILURES = (EmptyActiveSet, DegenerateStep, SingularScatter)
 # Entries must square to a finite number: the distances and the scatter
 # update form x^2, and an infinite square times a zero weight is NaN.
 MAX_ABS_ENTRY = float(np.sqrt(np.finfo(float).max))
+
+
+# Every diagonal-metric distance takes the reciprocal of diag V, which can
+# overflow below the smallest normal double.
+_MIN_DIAGONAL = np.finfo(float).tiny
+_BAD_DIAGONAL = "diagonal of V has non-positive or subnormal entries"
+
+
+def _bad_diagonals(v):
+    """The rows of v (v itself if 1-D) with an entry not a positive normal double."""
+    return ~(v >= _MIN_DIAGONAL).all(axis=-1)
 
 
 @dataclass(frozen=True)
@@ -225,16 +236,17 @@ def _cholesky(V: np.ndarray) -> np.ndarray:
 def squared_distances(diff: np.ndarray, V: np.ndarray, diag_approx: bool) -> np.ndarray:
     """Row-wise (x - mu)^T V^{-1} (x - mu) for pre-centered rows ``diff``.
 
-    With ``diag_approx`` only the diagonal of V enters.  Otherwise the rows
-    go through the full-metric kernel (``_full_distances``) as the columns
-    of ``diff.T``, a view, so any layout is accepted; the distances are
-    nonnegative by construction (and exactly 0 for a zero row).  Raises
-    SingularScatter when V is not positive definite.
+    With ``diag_approx`` only the diagonal of V enters, held to the rule of
+    the diagonal-metric fits.  Otherwise the rows go through the full-metric
+    kernel (``_full_distances``) as the columns of ``diff.T``, a view, so any
+    layout is accepted; the distances are nonnegative by construction (and
+    exactly 0 for a zero row).  Raises SingularScatter when V breaks either
+    metric's rule.
     """
     if diag_approx:
         dv = np.diag(V)
-        if np.any(dv <= 0):
-            raise SingularScatter("diagonal of V has non-positive entries")
+        if _bad_diagonals(dv):
+            raise SingularScatter(_BAD_DIAGONAL)
         return np.square(diff) @ (1.0 / dv)
     D = np.asarray(diff).T
     return _full_distances(D, V, np.empty(D.shape))
@@ -281,8 +293,8 @@ def in_ball(x, ls: LocationScatter, spec: WeightSpec = WeightSpec()) -> bool:
     return weight(mahalanobis(x, ls), spec) > 0.0
 
 
-def _step(XT, pi, mu, V, spec, diag_approx, tau, D, Z):
-    """One application of the fixed-point map to the observations, the
+def _step(XT, pi, mu, V, weigh, diag_approx, tau, D, Z):
+    """One step of the fixed-point map, with weights w_i = weigh(d_i), on the
     columns of the p x n array XT; returns (mu_new, V_new, active), with
     ``active`` the number of observations of positive weight.
 
@@ -292,7 +304,7 @@ def _step(XT, pi, mu, V, spec, diag_approx, tau, D, Z):
     """
     np.subtract(XT, mu[:, None], out=D)
     d = squared_distances(D.T, V, True) if diag_approx else _full_distances(D, V, Z)
-    pw = weight(d, spec)
+    pw = weigh(d)
     active = int(np.count_nonzero(pw > 0.0))
     pw *= pi
     sw = pw.sum()
@@ -416,15 +428,15 @@ def _full_fit(data, a, init, spec, opts, tau):
     """
     XT = np.ascontiguousarray(data.X.T)
     pi = data.effective_weights()
-    D = np.empty((data.p, data.n))
-    Z = np.empty_like(D)
+    D, Z = np.empty((2, data.p, data.n))
+    weigh = partial(weight, spec=spec)
     mu, V = init.mu.copy(), init.V.copy()
     residual = np.inf
     it = 0
     active = None  # of the last completed step
     try:
         for it in range(1, opts.max_iter + 1):
-            mu_new, V_new, count = _step(XT, pi, mu, V, spec, False, tau, D, Z)
+            mu_new, V_new, count = _step(XT, pi, mu, V, weigh, False, tau, D, Z)
             # the scatter of fewer than p points is singular; a tau blend only
             # hides that while the fit diverges (for n < p, hiding it is its job)
             if count < data.p <= data.n:
@@ -438,7 +450,7 @@ def _full_fit(data, a, init, spec, opts, tau):
         ls = LocationScatter(mu, V)
         # the active set is the trimming ball of the final state (in_ball)
         np.subtract(XT, mu[:, None], out=D)
-        mask = weight(_full_distances(D, V, Z), spec) > 0
+        mask = weigh(_full_distances(D, V, Z)) > 0
         return _finish(data, ls, a, it, bool(residual <= opts.tol), residual, mask)
     except FIT_FAILURES as exc:
         return _fit_error(data.n, type(exc), str(exc), it, active)
@@ -457,17 +469,6 @@ def _diag_distances(Z, M, v):
     d = Z @ np.hstack([inv, -2.0 * M * inv]).T
     d += np.sum(M * M * inv, axis=1)
     return np.maximum(d, 0.0, out=d)
-
-
-# Every diagonal-metric distance takes the reciprocal of diag V, which can
-# overflow below the smallest normal double.
-_MIN_DIAGONAL = np.finfo(float).tiny
-_BAD_DIAGONAL = "diagonal of V has non-positive or subnormal entries"
-
-
-def _bad_diagonals(v):
-    """The rows of v with an entry that is not a positive normal double."""
-    return ~(v >= _MIN_DIAGONAL).all(axis=1)
 
 
 def _diag_scatter(Xc, w, m, swd, tau, mu, v):
@@ -705,51 +706,46 @@ def initial_estimate(data: DataSet) -> LocationScatter:
     return LocationScatter(med, np.diag(scales**2), diag_approx=True)
 
 
+def _tyler(d):
+    """Tyler's weight 1/d, and 0 at d = 0."""
+    return np.divide(1.0, d, out=np.zeros_like(d), where=d > 0.0)
+
+
 def fit_tme(
     data: DataSet,
     mu: np.ndarray,
     opts: FitOptions = FitOptions(),
 ) -> LocationScatter:
-    """Unweighted scatter baseline for a fixed, externally supplied mu.
+    """Tyler-type scatter baseline for a fixed, externally supplied mu.
 
-    Iterates V <- p * sum_i pi_i (x_i - mu)(x_i - mu)^T / d_i with the trace
-    renormalized to p each step (the equation only identifies shape), d_i
-    under the metric ``opts`` names: Tyler's M-estimator of shape with the
-    full metric, and with the default diagonal one a fixed point of diag(V)
-    distances that is not Tyler's.
-    Observations at exactly mu are excluded from that iteration's sums, with
-    a warning carrying the count.  Non-convergence is flagged by a warning.
+    The solver's map (``_step``) at mu with weight 1/d, V <- p * sum_i pi_i
+    (x_i - mu)(x_i - mu)^T / d_i, the trace renormalized to p each step (the
+    equation only identifies shape): Tyler's M-estimator of shape under the
+    full metric; ``opts`` names the metric.  Observations at mu get weight 0,
+    with a warning carrying the count; non-convergence gives a warning.
     """
     mu = np.asarray(mu, dtype=float)
     if mu.shape != (data.p,):
         raise ValueError(f"mu must have shape ({data.p},)")
-    X = data.X
+    XT = np.ascontiguousarray(data.X.T)
     pi = data.effective_weights()
-    p = data.p
-    diff = X - mu
-    V = np.eye(p)
+    D, Z = np.empty((2, *XT.shape))
+    V = np.eye(data.p)
     dropped = 0
-    converged = False
     for _ in range(opts.max_iter):
-        d = squared_distances(diff, V, opts.diag_approx)
-        keep = d > 0.0
-        n_dropped = int((~keep).sum())
-        if n_dropped:
-            dropped = max(dropped, n_dropped)
-        if not np.any(keep):
-            raise DegenerateStep("every observation coincides with mu")
-        scaled = diff[keep] * (pi[keep] / d[keep])[:, None]
-        V_new = p * (scaled.T @ diff[keep])
-        V_new = 0.5 * (V_new + V_new.T)
-        V_new *= p / np.trace(V_new)
+        try:
+            _, V_new, active = _step(XT, pi, mu, V, _tyler, opts.diag_approx, 0.0, D, Z)
+        except EmptyActiveSet:
+            raise DegenerateStep("every observation coincides with mu") from None
+        dropped = max(dropped, data.n - active)
+        V_new *= data.p / np.trace(V_new)
         delta = np.linalg.norm(V_new - V, "fro") / np.linalg.norm(V, "fro")
         V = V_new
         if delta <= opts.tol:
-            converged = True
             break
     if dropped:
         warnings.warn(f"excluded {dropped} observation(s) at zero distance from mu")
-    if not converged:
+    if not delta <= opts.tol:
         warnings.warn(f"scatter baseline did not converge in {opts.max_iter} iterations")
     return LocationScatter(mu, V, diag_approx=opts.diag_approx)
 
@@ -790,7 +786,7 @@ def estimating_equation_residual(
     relative change; at an exact solution both components are zero.
     """
     ls = fit.ls
-    D = np.empty((data.p, data.n))
-    mu_new, V_new, _ = _step(data.X.T, data.effective_weights(), ls.mu, ls.V, spec,
-                             ls.diag_approx, 0.0, D, np.empty_like(D))
+    D, Z = np.empty((2, data.p, data.n))
+    mu_new, V_new, _ = _step(data.X.T, data.effective_weights(), ls.mu, ls.V,
+                             partial(weight, spec=spec), ls.diag_approx, 0.0, D, Z)
     return _relative_change(mu_new, ls.mu, V_new, ls.V)

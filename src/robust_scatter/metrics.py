@@ -218,6 +218,11 @@ def _eigenpairs(model: LocationScatter):
     return m.eigenvalues, m.eigenvectors
 
 
+def _inverse_gaps(lam, j):
+    """1 / (lam_j - lam_m) for every m, and 0 at m = j."""
+    return np.divide(1.0, lam[j] - lam, out=np.zeros(lam.size), where=np.arange(lam.size) != j)
+
+
 def if_location(x, model: LocationScatter, consts: AsymptoticConstants,
                 spec: WeightSpec = WeightSpec()) -> np.ndarray:
     """Influence of a point mass at x on the location functional."""
@@ -256,11 +261,7 @@ def if_eigenvector(x, j: int, model: LocationScatter,
     x = np.asarray(x, dtype=float)
     c = x - model.mu
     d = mahalanobis(x, model)
-    coeffs = np.zeros(model.p)
-    for m in range(model.p):
-        if m != j:
-            coeffs[m] = (gam[:, m] @ c) / (lam[j] - lam[m])
-    pinv_c = gam @ coeffs
+    pinv_c = gam @ (_inverse_gaps(lam, j) * (gam.T @ c))
     return consts.phi_s * weight(d, spec) * (gam[:, j] @ c) * pinv_c
 
 
@@ -281,11 +282,7 @@ def asymptotic_variance(target: str, model: LocationScatter,
     if target == "eigvec":
         if j is None:
             raise ValueError("eigvec needs index j")
-        inv2 = np.zeros(model.p)
-        for m in range(model.p):
-            if m != j:
-                inv2[m] = 1.0 / (lam[j] - lam[m]) ** 2
-        return consts.xi_s * lam[j] * (gam * (lam * inv2)) @ gam.T
+        return consts.xi_s * lam[j] * (gam * (lam * _inverse_gaps(lam, j) ** 2)) @ gam.T
     raise ValueError(f"unknown target {target!r}")
 
 

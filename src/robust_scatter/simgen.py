@@ -261,7 +261,8 @@ def _one_replicate(cfg, rep, methods, spec, opts):
     if "tme" in methods:
         try:
             with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
+                warnings.filterwarnings("ignore", category=UserWarning,
+                                        module=r"robust_scatter\.estimator")
                 ls = fit_tme(data, astar_fit.ls.mu, opts=opts)
             out["tme"] = similarity_rho(pca(ls, cfg.k).eigenvectors, truth.Gamma_k)
         except (RobustScatterError, np.linalg.LinAlgError):

@@ -11,11 +11,14 @@ evaluated in closed form from its knot operators Q and R, which also give
 the penalty eigensystem on which generalized cross-validation chooses its
 penalty; constants and lines, the penalty's null space, pass unshrunk.
 
-Tuning is three calls, the same for the CLI, the simulator and library use:
+Tuning is three calls, the same for the CLI and library use:
 
     path = solution_set(data, build_grid(data))   # one fit per scale
     curve = smooth_curve(path)                    # ARCurve of the usable fits
     sel = select_a_star(curve)                    # TuningResult
+
+The simulator makes the last two on its fixed grid (``simgen._default_grid``),
+at about 0.4 s per 40 ``benchmark`` replicates against 1.4 s with ``build_grid``.
 """
 
 from __future__ import annotations

@@ -402,3 +402,13 @@ def test_cli_seed_only_for_simulation():
         with pytest.raises(SystemExit) as exc:
             parser.parse_args([cmd, "x.csv", "--seed", "1"])
         assert exc.value.code == 2
+
+
+def test_parser_is_built_once_and_parses_afresh():
+    # main reuses one parser per process; a parse leaves no state behind
+    parser = build_parser()
+    assert build_parser() is parser
+    first = parser.parse_args(["fit", "a.csv", "--a", "2", "--k", "3"])
+    second = parser.parse_args(["fit", "b.csv"])
+    assert (first.a, first.k) == (2.0, 3)
+    assert (second.input, second.a, second.k) == ("b.csv", None, None)

@@ -108,6 +108,18 @@ def test_mahalanobis_basics():
         mahalanobis(np.zeros(3), ls)
 
 
+def test_subnormal_diagonal_fails_every_distance():
+    # its reciprocal overflows: the diagonal rule of the fits holds for one
+    # point and for rows of points alike
+    ls = LocationScatter(np.zeros(2), np.diag([1e-310, 1.0]), diag_approx=True)
+    x = np.array([1.0, 0.0])
+    message = r"^diagonal of V has non-positive or subnormal entries$"
+    for distance in (lambda: mahalanobis(x, ls), lambda: in_ball(x, ls),
+                     lambda: squared_distances(x[None, :], ls.V, True)):
+        with pytest.raises(SingularScatter, match=message):
+            distance()
+
+
 def test_mahalanobis_diagonal_mode():
     V = np.array([[4.0, 1.0], [1.0, 1.0]])
     ls = LocationScatter(np.zeros(2), V, diag_approx=True)
@@ -789,6 +801,72 @@ def test_tme_drops_points_at_mu():
     with pytest.warns(UserWarning, match="zero distance"):
         ls = fit_tme(DataSet(X), np.zeros(2), opts=FULL)
     assert np.allclose(ls.V, np.eye(2), atol=1e-10)
+
+
+def reference_tme(data, mu, opts):
+    """The scatter baseline as a row-layout loop of its own: V, and the
+    largest count of rows at zero distance from mu in any iteration."""
+    pi, p = data.effective_weights(), data.p
+    diff = data.X - mu
+    V = np.eye(p)
+    dropped = 0
+    for _ in range(opts.max_iter):
+        d = squared_distances(diff, V, opts.diag_approx)
+        keep = d > 0.0
+        dropped = max(dropped, int((~keep).sum()))
+        scaled = diff[keep] * (pi[keep] / d[keep])[:, None]
+        V_new = p * (scaled.T @ diff[keep])
+        V_new = 0.5 * (V_new + V_new.T)
+        V_new *= p / np.trace(V_new)
+        delta = np.linalg.norm(V_new - V, "fro") / np.linalg.norm(V, "fro")
+        V = V_new
+        if delta <= opts.tol:
+            break
+    return V, dropped
+
+
+@pytest.mark.parametrize("variant", ["plain", "obs_weights", "row_at_mu"])
+@pytest.mark.parametrize("diag_approx", [False, True])
+def test_tme_matches_row_layout_reference(diag_approx, variant):
+    rng = np.random.default_rng(31)
+    n, p = 300, 6
+    X = gaussian_data(n, p, V=np.diag(np.linspace(4.0, 1.0, p)), rng=rng) + 1.0
+    mu = np.median(X, axis=0)
+    obs = None
+    if variant == "obs_weights":
+        obs = rng.uniform(0.5, 1.5, n)
+        obs /= obs.sum()
+    if variant == "row_at_mu":
+        X[17] = mu
+    data = DataSet(X, obs_weights=obs)
+    opts = FitOptions(tol=1e-10, diag_approx=diag_approx)
+    V, dropped = reference_tme(data, mu, opts)
+    if variant == "row_at_mu":
+        assert dropped == 1
+        with pytest.warns(UserWarning, match=r"^excluded 1 observation\(s\) at zero distance"):
+            ls = fit_tme(data, mu, opts=opts)
+    else:
+        assert dropped == 0
+        ls = fit_tme(data, mu, opts=opts)  # the suite turns any warning into an error
+    assert ls.diag_approx == diag_approx and np.array_equal(ls.mu, mu)
+    assert np.linalg.norm(ls.V - V) <= 1e-12 * np.linalg.norm(V)
+
+
+@pytest.mark.parametrize("diag_approx", [False, True])
+def test_tme_data_all_at_mu_is_degenerate(diag_approx):
+    data = DataSet(np.ones((4, 3)))
+    with pytest.raises(DegenerateStep, match="^every observation coincides with mu$"):
+        fit_tme(data, np.ones(3), opts=FitOptions(diag_approx=diag_approx))
+
+
+@pytest.mark.parametrize("diag_approx", [False, True])
+def test_tme_flags_non_convergence(rng, diag_approx):
+    data = DataSet(gaussian_data(200, 3, V=np.diag([3.0, 1.0, 0.5]), rng=rng))
+    opts = FitOptions(max_iter=1, diag_approx=diag_approx)
+    with pytest.warns(UserWarning, match="^scatter baseline did not converge in 1 iterations$"):
+        ls = fit_tme(data, np.zeros(3), opts=opts)
+    V, _ = reference_tme(data, np.zeros(3), opts)
+    assert np.linalg.norm(ls.V - V) <= 1e-12 * np.linalg.norm(V)
 
 
 # -------------------------------------------------------- regularized fits

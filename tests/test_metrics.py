@@ -272,6 +272,30 @@ def test_variance_eigvec_null_direction():
     assert np.all(np.linalg.eigvalsh(S) >= -1e-12)
 
 
+def test_eigvec_closed_forms_match_their_loop_forms(rng):
+    # the per-m loops over 1 / (lam_j - lam_m) that the closed forms
+    # replaced, kept as their reference
+    consts = metrics.AsymptoticConstants(eta_s=1.3, phi_s=1.7, xi_s=0.9)
+    unit = WeightSpec(kind=UNIT)
+    for p in (2, 5, 9):
+        A = rng.standard_normal((p, p))
+        model = LocationScatter(rng.standard_normal(p), A @ A.T + 0.5 * np.eye(p))
+        lam, gam = metrics._eigenpairs(model)
+        for j in range(p):
+            c = rng.standard_normal(p)
+            coeffs, inv2 = np.zeros(p), np.zeros(p)
+            for m in range(p):
+                if m != j:
+                    coeffs[m] = (gam[:, m] @ c) / (lam[j] - lam[m])
+                    inv2[m] = 1.0 / (lam[j] - lam[m]) ** 2
+            iv = consts.phi_s * (gam[:, j] @ c) * (gam @ coeffs)
+            av = consts.xi_s * lam[j] * (gam * (lam * inv2)) @ gam.T
+            got_iv = if_eigenvector(model.mu + c, j, model, consts, unit)
+            got_av = asymptotic_variance("eigvec", model, consts, j=j)
+            assert np.abs(got_iv - iv).max() <= 1e-12 * np.abs(iv).max()
+            assert np.abs(got_av - av).max() <= 1e-12 * np.abs(av).max()
+
+
 def test_variance_validates_target():
     model = model_p3()
     consts = asymptotic_constants(RadialSpec.gaussian(3), SPEC)

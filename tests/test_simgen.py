@@ -1,9 +1,13 @@
+import warnings
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.special
 import scipy.stats
 
 from robust_scatter import (
+    FitOptions,
     SimConfig,
     SingularScatter,
     gen_eigenvalues,
@@ -262,4 +266,30 @@ def test_run_experiment_propagates_unexpected_tme_errors(monkeypatch):
     monkeypatch.setattr("robust_scatter.simgen.fit_tme", broken_tme)
     cfg = SimConfig(n=100, p=5, k=2, nu=10.0, pi=0.0, c=1.0, seed=1)
     with pytest.raises(TypeError, match="not a fit failure"):
+        run_experiment(cfg, methods=("tme",), replicates=1)
+
+
+def test_run_experiment_silences_only_the_baselines_own_warnings(monkeypatch):
+    # fit_tme's own warnings (here: non-convergence) stay silent; a
+    # numerical fault's RuntimeWarning must surface
+    real_tme = simgen.fit_tme
+
+    def stopped_tme(data, mu, opts):
+        return real_tme(data, mu, opts=replace(opts, max_iter=1))
+
+    def faulty_tme(data, mu, opts):
+        warnings.warn("overflow encountered in divide", RuntimeWarning)
+        return real_tme(data, mu, opts=opts)
+
+    cfg = SimConfig(n=100, p=5, k=2, nu=10.0, pi=0.0, c=1.0, seed=1)
+    data, _ = gen_mixture(cfg)
+    with pytest.warns(UserWarning, match="did not converge"):
+        stopped_tme(data, np.zeros(cfg.p), FitOptions())
+    monkeypatch.setattr(simgen, "fit_tme", stopped_tme)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        table = run_experiment(cfg, methods=("tme",), replicates=1)
+    assert table.replicates[0]["rho"] is not None
+    monkeypatch.setattr(simgen, "fit_tme", faulty_tme)
+    with pytest.warns(RuntimeWarning, match="overflow"):
         run_experiment(cfg, methods=("tme",), replicates=1)
