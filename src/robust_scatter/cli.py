@@ -45,10 +45,10 @@ def load_csv(path, standardize: bool = True) -> DataSet:
 
     The body is parsed by ``np.loadtxt``, or cell by cell with ``float``
     where that fails, which names a ragged row or a non-numeric cell by row
-    and column; blank lines are skipped and ``#`` is data.  With
-    ``standardize`` each column is centered by its mean and scaled by its
-    standard deviation (n - 1 denominator); constant columns are rejected.
-    Without it, values pass through bit-exact.
+    and column; blank lines are skipped and ``#`` is data.  Fewer than two
+    rows are rejected.  With ``standardize`` each column is centered by its
+    mean and scaled by its standard deviation (n - 1 denominator); constant
+    columns are rejected.  Without it, values pass through bit-exact.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -82,6 +82,8 @@ def load_csv(path, standardize: bool = True) -> DataSet:
         if not rows:
             raise EmptyData(f"{path}: no data rows")
         X = np.asarray(rows, dtype=float)
+    if len(X) < 2:  # before the standard deviation, which needs two rows
+        raise ValueError(f"{path}: need n >= 2 data rows, got {len(X)}")
     if standardize:
         mean = X.mean(axis=0)
         sd = X.std(axis=0, ddof=1)

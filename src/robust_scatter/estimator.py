@@ -131,7 +131,8 @@ class DataSet:
 
 @dataclass(frozen=True)
 class LocationScatter:
-    """A location vector plus symmetric positive-definite scatter matrix."""
+    """A location vector plus symmetric scatter matrix, positive definite, or
+    under ``diag_approx`` with a diagonal that passes the fits' rule."""
 
     mu: np.ndarray
     V: np.ndarray
@@ -148,8 +149,8 @@ class LocationScatter:
         if np.abs(V - V.T).max() > 1e-10 * scale:
             raise ValueError("V must be symmetric within 1e-10 relative")
         if self.diag_approx:
-            if np.any(np.diag(V) <= 0):
-                raise SingularScatter("diagonal of V must be strictly positive")
+            if _bad_diagonals(np.diag(V)):
+                raise SingularScatter(_BAD_DIAGONAL)
         else:
             _cholesky(V)
         object.__setattr__(self, "mu", mu)
@@ -187,9 +188,10 @@ class FitResult:
     under the diagonal metric, of (mu, V) under the full one.  A
     diagonal-metric fit's ``ls`` is formed on its first read, then kept;
     its diagonal is the final diag V that ``active_mask`` was computed from.
+    A failed solution-path entry (``error`` set) has no state: ``ls`` None.
     """
 
-    ls: LocationScatter = _FormedOnRead()
+    ls: LocationScatter | None = _FormedOnRead()
     a: float
     active_mask: np.ndarray
     active_ratio: float
@@ -362,8 +364,9 @@ def fit_sppca(
     ----------
     data : DataSet
     a : initialization scale, in squared-distance units (order O(p)).
-    init : optional explicit initial state; by default the robust initial
-        estimate scaled by ``a``.
+    init : optional explicit initial state, read as its arrays (mu, V)
+        under the metric ``opts`` names, whatever its own ``diag_approx``;
+        by default the robust initial estimate scaled by ``a``.
     spec, opts : weight family and solver controls.
     tau : ridge blend weight; each scatter update is shrunk toward the
         identity, V <- V_fp / (1 + tau) + tau / (1 + tau) * I.  With the
@@ -377,7 +380,8 @@ def fit_sppca(
     solution path can be assembled.  EmptyActiveSet, DegenerateStep and
     SingularScatter are raised with the offending iteration index, and the
     number of observations active at the last completed step, in the
-    message and in their ``iteration`` and ``active`` attributes.  Under the
+    message and in their ``iteration`` and ``active`` attributes; a start
+    no step can take fails at iteration 1 with ``active`` None.  Under the
     full metric with n >= p, a step that leaves fewer than p observations
     active raises SingularScatter with that step's count.
     """
@@ -387,13 +391,13 @@ def fit_sppca(
         raise ValueError("tau must be nonnegative")
     if init is None:
         base = initial_estimate(data)
-        init = LocationScatter(base.mu, a * base.V, diag_approx=opts.diag_approx)
-    elif init.diag_approx != opts.diag_approx:
-        init = LocationScatter(init.mu, init.V, diag_approx=opts.diag_approx)
-    if opts.diag_approx:
-        (fit,) = _diag_fits(data, [a], init.mu, np.diag(init.V)[None, :], spec, opts, tau)
+        mu0, V0 = base.mu, a * base.V
     else:
-        fit = _full_fit(data, a, init, spec, opts, tau)
+        mu0, V0 = init.mu, init.V
+    if opts.diag_approx:
+        (fit,) = _diag_fits(data, [a], mu0, np.diag(V0)[None, :], spec, opts, tau)
+    else:
+        fit = _full_fit(data, a, mu0, V0, spec, opts, tau)
     if isinstance(fit, FitResult):
         return fit
     try:
@@ -414,11 +418,11 @@ def _fit_error(n: int, cls, message: str, it: int, active: int | None):
     return err
 
 
-def _full_fit(data, a, init, spec, opts, tau):
-    """Full-metric fixed-point iteration from ``init``: a FitResult, or for
-    a failed fit its ``_fit_error``, with the active count taken at the last
-    completed step (None before the first), or at the step that leaves
-    fewer than p active.
+def _full_fit(data, a, mu, V, spec, opts, tau):
+    """Full-metric fixed-point iteration from (mu, V): a FitResult, or for a
+    failed fit its ``_fit_error``, with the active count taken at the last
+    completed step (None before the first, so also for a V that is not
+    positive definite), or at the step that leaves fewer than p active.
 
     The iteration runs on the data as columns: a contiguous copy of X^T and
     two p x n work arrays (the centred and the whitened observations) are
@@ -430,7 +434,6 @@ def _full_fit(data, a, init, spec, opts, tau):
     pi = data.effective_weights()
     D, Z = np.empty((2, data.p, data.n))
     weigh = partial(weight, spec=spec)
-    mu, V = init.mu.copy(), init.V.copy()
     residual = np.inf
     it = 0
     active = None  # of the last completed step
@@ -483,8 +486,8 @@ def _diag_scatter(Xc, w, m, swd, tau, mu, v):
 
 
 def _diag_fits(data, scales, mu0, v0, spec, opts, tau=0.0) -> list:
-    """Diagonal-metric fits from (mu0, diag v0[j]), v0 > 0, one per scale,
-    iterated together.
+    """Diagonal-metric fits from (mu0, diag v0[j]), one per scale, iterated
+    together.
 
     Under the diagonal metric (mu, diag V) is a closed iteration, so the
     live fits are the rows of M and v, and one pass steps all of them:
@@ -499,12 +502,14 @@ def _diag_fits(data, scales, mu0, v0, spec, opts, tau=0.0) -> list:
     (mu, diag V) moves by at most ``opts.tol`` relative, when it fails, or
     at ``opts.max_iter``.  A diagonal entry that is not a positive normal
     double fails the fit (SingularScatter), as every distance takes its
-    reciprocal.  The active sets of the fits that end in a pass come from
-    one distance call on their final (mu, diag V).  Each such fit keeps
-    what its full p x p scatter needs, the update ``_step`` makes from the
-    state that pass started from (about that state's location, with that
-    pass's weights), so a fit of k iterations is exactly k applications of
-    the map; the scatter is formed by ``_diag_scatter`` on the first read
+    reciprocal; each is checked where it is made, a start before the first
+    pass, a new diagonal at the end of its pass (failing a fit that runs on
+    at the next iteration).  The active sets of the fits that end in a pass
+    come from one distance call on their final (mu, diag V).  Each such fit
+    keeps what its full p x p scatter needs, the update ``_step`` makes from
+    the state that pass started from (about that state's location, with
+    that pass's weights), so a fit of k iterations is exactly k applications
+    of the map; the scatter is formed by ``_diag_scatter`` on the first read
     of the fit's ``ls``, with the final diag V as its diagonal.  Each entry
     of the result is a FitResult or, for a failed fit, its ``_fit_error``,
     with the active count taken at the last completed step (None before
@@ -516,11 +521,14 @@ def _diag_fits(data, scales, mu0, v0, spec, opts, tau=0.0) -> list:
     Xc = Z[:, p:]
     np.subtract(data.X, mu0, out=Xc)
     np.square(Xc, out=Z[:, :p])
-    M = np.zeros_like(v0)  # locations, relative to mu0
-    v = np.array(v0, dtype=float)
-    live = np.arange(len(v))  # the fits of the rows of M and v
+    ends: list = [None] * len(v0)
+    bad = _bad_diagonals(v0)
+    for j in np.flatnonzero(bad):
+        ends[j] = _fit_error(n, SingularScatter, _BAD_DIAGONAL, 1, None)
+    live = np.flatnonzero(~bad)  # the fits of the rows of M and v
+    v = v0[live]
+    M = np.zeros_like(v)  # locations, relative to mu0
     Mp, vp = M, v  # from step 2 on: the states the previous step started from
-    ends: list = [None] * len(v)
 
     def active(Ms, vs, j):
         # observations of positive weight in the step started from row j of
@@ -528,14 +536,8 @@ def _diag_fits(data, scales, mu0, v0, spec, opts, tau=0.0) -> list:
         return int(np.count_nonzero(weight(_diag_distances(Z, Ms[j:j + 1], vs[j:j + 1]), spec)))
 
     for it in range(1, opts.max_iter + 1):
-        bad = _bad_diagonals(v)
-        if bad.any():
-            for j in np.flatnonzero(bad):
-                ends[live[j]] = _fit_error(n, SingularScatter, _BAD_DIAGONAL, it,
-                                           active(Mp, vp, j) if it > 1 else None)
-            M, v, live, Mp, vp = M[~bad], v[~bad], live[~bad], Mp[~bad], vp[~bad]
-            if not live.size:
-                break
+        if not live.size:
+            break
         d = _diag_distances(Z, M, v)
         W = weight(d, spec)
         W *= pi[:, None]
@@ -551,8 +553,6 @@ def _diag_fits(data, scales, mu0, v0, spec, opts, tau=0.0) -> list:
                 ends[live[j]] = _fit_error(n, cls, message, it,
                                            active(Mp, vp, j) if it > 1 else None)
             M, v, live, W, sw, swd = M[~bad], v[~bad], live[~bad], W[:, ~bad], sw[~bad], swd[~bad]
-            if not live.size:
-                break
         S = W.T @ Z
         S2, S1 = S[:, :p], S[:, p:]
         mu_new = S1 / sw[:, None]
@@ -563,9 +563,10 @@ def _diag_fits(data, scales, mu0, v0, spec, opts, tau=0.0) -> list:
         r_v = np.linalg.norm(v_new - v, axis=1) / (1.0 + np.linalg.norm(v, axis=1))
         residual = np.maximum(r_mu, r_v)
         done = (residual <= opts.tol) | (it == opts.max_iter)
-        bad = done & _bad_diagonals(v_new)
+        bad = _bad_diagonals(v_new)
         for j in np.flatnonzero(bad):
-            ends[live[j]] = _fit_error(n, SingularScatter, _BAD_DIAGONAL, it, active(M, v, j))
+            ends[live[j]] = _fit_error(n, SingularScatter, _BAD_DIAGONAL,
+                                       it if done[j] else it + 1, active(M, v, j))
         ended = np.flatnonzero(done & ~bad)
         if ended.size:
             # the active sets: the trimming balls of the final states (in_ball)
@@ -576,10 +577,9 @@ def _diag_fits(data, scales, mu0, v0, spec, opts, tau=0.0) -> list:
                 ends[live[j]] = _finish(data, ls, scales[live[j]], it,
                                         bool(residual[j] <= opts.tol), float(residual[j]),
                                         masks[:, k])
-        Mp, vp = M[~done], v[~done]
-        M, v, live = mu_new[~done], v_new[~done], live[~done]
-        if not live.size:
-            break
+        keep = ~(done | bad)
+        Mp, vp = M[keep], v[keep]
+        M, v, live = mu_new[keep], v_new[keep], live[keep]
     return ends
 
 
@@ -596,11 +596,11 @@ def solution_set(
     than the data; each fit is the one ``fit_sppca`` returns at its scale,
     up to rounding, and forms its full scatter only when its ``ls`` is
     read.  Under the full metric the fits run one after another.
-    Failed fits (empty active set, degenerate step, singular scatter) are
-    recorded in place with ``converged=False``, the error message and the
-    iteration at which the fit failed, instead of aborting the path.  The
-    scales must be positive and strictly increasing; results are in grid
-    order.
+    Failed fits (empty active set, degenerate step, singular scatter, a
+    start no step can take) are recorded in place with ``converged=False``,
+    ``ls`` None, the error message and the iteration at which the fit
+    failed, instead of aborting the path.  The scales must be positive and
+    strictly increasing; results are in grid order.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.size == 0:
@@ -611,10 +611,6 @@ def solution_set(
     if np.any(np.diff(grid) <= 0):
         raise ValueError("grid must be strictly increasing")
     base = initial_estimate(data)  # raises before any fit on degenerate data
-
-    def init(a):
-        return LocationScatter(base.mu, a * base.V, diag_approx=opts.diag_approx)
-
     if opts.diag_approx:
         dv = np.diag(base.V)
         fits = []
@@ -622,16 +618,16 @@ def solution_set(
             block = grid[lo:lo + data.p]
             fits += _diag_fits(data, block, base.mu, block[:, None] * dv, spec, opts)
     else:
-        fits = [_full_fit(data, a, init(a), spec, opts, 0.0) for a in grid]
-    return [fit if isinstance(fit, FitResult) else _failed_fit(data, a, init(a), fit)
+        fits = [_full_fit(data, a, base.mu, a * base.V, spec, opts, 0.0) for a in grid]
+    return [fit if isinstance(fit, FitResult) else _failed_fit(data, a, fit)
             for a, fit in zip(grid, fits)]
 
 
-def _failed_fit(data, a, init, err) -> FitResult:
-    """The path entry of a fit that failed with ``err``: its initial state,
-    AR 0 and the error."""
+def _failed_fit(data, a, err) -> FitResult:
+    """The path entry of a fit that failed with ``err``: no state, AR 0 and
+    the error."""
     return FitResult(
-        ls=init,
+        ls=None,
         a=a,
         active_mask=np.zeros(data.n, dtype=bool),
         active_ratio=0.0,

@@ -42,6 +42,9 @@ STUDENT_T = "student-t"
 
 _QUAD_KW = dict(epsabs=0.0, epsrel=1e-10, limit=400)
 
+# The oracle's fits: full metric, tight tolerance, room to converge.
+ORACLE_OPTS = FitOptions(tol=1e-10, max_iter=2000, diag_approx=False)
+
 
 def similarity_rho(Gamma_hat: np.ndarray, Gamma: np.ndarray) -> float | np.ndarray:
     """Mean singular value of ``Gamma_hat' Gamma``: 1 for equal spans, 0 for
@@ -289,7 +292,7 @@ def asymptotic_variance(target: str, model: LocationScatter,
 def unit_scale_fit(
     reference: DataSet,
     spec: WeightSpec = WeightSpec(),
-    opts: FitOptions | None = None,
+    opts: FitOptions = ORACLE_OPTS,
     a_hint: float | None = None,
     target_scale: float = 1.0,
 ) -> FitResult:
@@ -302,8 +305,6 @@ def unit_scale_fit(
     default target is unit scale.  Raises OracleFailure when the search does
     not converge in 30 secant steps or a fitted scatter collapses.
     """
-    if opts is None:
-        opts = FitOptions(tol=1e-10, max_iter=2000, diag_approx=False)
     p = reference.p
     base = initial_estimate(reference)
     log_det_init = float(np.sum(np.log(np.diag(base.V)))) / p
@@ -350,7 +351,7 @@ def empirical_if(
     reference: DataSet,
     eps: float = 1e-3,
     spec: WeightSpec = WeightSpec(),
-    opts: FitOptions | None = None,
+    opts: FitOptions = ORACLE_OPTS,
     i: int | None = None,
     j: int | None = None,
     base: FitResult | None = None,
@@ -389,8 +390,6 @@ def empirical_if(
     if functional == "eigratio" and (i is None or j is None or i == j):
         raise ValueError("eigratio needs distinct indices i and j")
     x = np.asarray(x, dtype=float)
-    if opts is None:
-        opts = FitOptions(tol=1e-10, max_iter=2000, diag_approx=False)
     if base is None:
         base = unit_scale_fit(reference, spec=spec, opts=opts)
 

@@ -134,6 +134,21 @@ def test_cli_ragged_row_is_structured_json(tmp_path, capsys, rows, row, cells):
     assert err["message"] == f"{path}: row {row} has {cells} cells, the header has 2"
 
 
+@pytest.mark.parametrize("command", ["tune", "fit"])
+def test_cli_one_row_csv_is_one_json_error(tmp_path, capsys, command):
+    # rejected before the standard deviation, whose n - 1 = 0 would warn
+    path = tmp_path / "t.csv"
+    write_csv(path, [[1.0, 2.0, 3.0]], ["a", "b", "c"])
+    for standardize in (True, False):
+        with pytest.raises(ValueError, match=r"need n >= 2 data rows, got 1$"):
+            load_csv(path, standardize=standardize)
+    rc = main([command, str(path), "--out-dir", str(tmp_path / "out")])
+    assert rc == 1
+    (line,) = capsys.readouterr().err.splitlines()
+    assert json.loads(line) == {"error": "ValueError",
+                                "message": f"{path}: need n >= 2 data rows, got 1"}
+
+
 def test_load_csv_constant_column(tmp_path):
     path = tmp_path / "t.csv"
     write_csv(path, [[1.0, 7.0], [2.0, 7.0], [3.0, 7.0]], ["a", "b"])
@@ -280,6 +295,17 @@ def test_cmd_simulate_usage_error_exit_2(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["simulate", "--pi", "1.5", "--out-dir", str(tmp_path)])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("args, message", [
+    (["--n", ","], "invalid simulation grid: empty parameter list"),
+    (["--methods", "foo"], "methods must be a subset of "),
+], ids=["empty-n", "unknown-method"])
+def test_cmd_simulate_bad_lists_exit_2(tmp_path, capsys, args, message):
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", *args, "--out-dir", str(tmp_path)])
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
 
 
 def test_cmd_simulate_determinism_across_workers(tmp_path):

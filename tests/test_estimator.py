@@ -80,6 +80,36 @@ def test_dataset_rejects_entries_whose_square_overflows(rng):
             DataSet(X)
 
 
+@pytest.mark.parametrize("make, match", [
+    (lambda: DataSet(np.ones(4)), "^X must be a 2-D array$"),
+    (lambda: DataSet(CROSS, obs_weights=np.full(3, 1 / 3)),
+     r"^obs_weights must have shape \(4,\), got \(3,\)$"),
+    (lambda: DataSet(CROSS, column_names=["a"]), "^column_names length does not match p$"),
+    (lambda: LocationScatter(np.zeros((2, 1)), np.eye(2)), "^shape mismatch"),
+    (lambda: LocationScatter(np.zeros(2), np.eye(3)), "^shape mismatch"),
+    (lambda: LocationScatter(np.array([0.0, np.inf]), np.eye(2)), "^mu and V must be finite$"),
+    (lambda: LocationScatter(np.zeros(2), np.diag([1.0, np.nan])), "^mu and V must be finite$"),
+    (lambda: fit_sppca(DataSet(CROSS), 0.0), "^a must be positive$"),
+    (lambda: fit_sppca(DataSet(CROSS), -1.0), "^a must be positive$"),
+    (lambda: fit_tme(DataSet(CROSS), np.zeros(3)), r"^mu must have shape \(2,\)$"),
+], ids=["dataset-1d", "dataset-obs-weights", "dataset-names", "ls-mu-2d", "ls-v-shape",
+        "ls-mu-inf", "ls-v-nan", "fit-a-zero", "fit-a-negative", "tme-mu-shape"])
+def test_estimator_rejects_bad_arguments(make, match):
+    with pytest.raises(ValueError, match=match):
+        make()
+
+
+def test_diagonal_state_holds_the_fits_diagonal_rule():
+    # a subnormal diagonal is rejected where the state is made, with the
+    # message every diagonal-metric distance and fit gives
+    message = r"^diagonal of V has non-positive or subnormal entries$"
+    for diagonal in ([1e-310, 1.0], [1.0, 0.0], [-1.0, 1.0]):
+        with pytest.raises(SingularScatter, match=message):
+            LocationScatter(np.zeros(2), np.diag(diagonal), diag_approx=True)
+    smallest = np.finfo(float).tiny
+    assert LocationScatter(np.zeros(2), np.diag([smallest, 1.0]), diag_approx=True).p == 2
+
+
 def test_fit_options_need_one_iteration():
     with pytest.raises(ValueError, match="max_iter"):
         FitOptions(max_iter=0)
@@ -109,15 +139,14 @@ def test_mahalanobis_basics():
 
 
 def test_subnormal_diagonal_fails_every_distance():
-    # its reciprocal overflows: the diagonal rule of the fits holds for one
-    # point and for rows of points alike
-    ls = LocationScatter(np.zeros(2), np.diag([1e-310, 1.0]), diag_approx=True)
-    x = np.array([1.0, 0.0])
+    # its reciprocal overflows: the diagonal rule of the fits holds where a
+    # diagonal-metric state is made and for rows of points against a raw V
+    V = np.diag([1e-310, 1.0])
     message = r"^diagonal of V has non-positive or subnormal entries$"
-    for distance in (lambda: mahalanobis(x, ls), lambda: in_ball(x, ls),
-                     lambda: squared_distances(x[None, :], ls.V, True)):
-        with pytest.raises(SingularScatter, match=message):
-            distance()
+    with pytest.raises(SingularScatter, match=message):
+        LocationScatter(np.zeros(2), V, diag_approx=True)
+    with pytest.raises(SingularScatter, match=message):
+        squared_distances(np.array([[1.0, 0.0]]), V, True)
 
 
 def test_mahalanobis_diagonal_mode():
@@ -244,6 +273,22 @@ def test_diag_kernel_fails_like_full_metric_loop():
                 fit_sppca(data, a=1.0, init=init, opts=FitOptions(diag_approx=diag))
             # no step completed, so there is no active count to report
             assert info.value.iteration == 1 and info.value.active is None
+
+
+def test_bad_start_fails_at_iteration_one_under_either_metric():
+    # the options name the metric and the start is read as arrays: a start
+    # no step can take fails in the kernel at iteration 1, with no active
+    # count, whatever metric the init was made for
+    indefinite = LocationScatter(np.zeros(2), np.array([[1.0, 2.0], [2.0, 1.0]]),
+                                 diag_approx=True)
+    with pytest.raises(SingularScatter, match=r"not positive definite \(iteration 1\)$") as info:
+        fit_sppca(DataSet(CROSS), a=1.0, init=indefinite, opts=FULL)
+    assert info.value.iteration == 1 and info.value.active is None
+    # a full-metric state whose diagonal the diagonal metric cannot invert
+    tiny = LocationScatter(np.zeros(2), np.diag([1e-310, 1.0]))
+    with pytest.raises(SingularScatter, match=r"subnormal entries \(iteration 1\)$") as info:
+        fit_sppca(DataSet(CROSS), a=1.0, init=tiny)
+    assert info.value.iteration == 1 and info.value.active is None
 
 
 def test_step_uses_previous_location_in_scatter():
@@ -515,6 +560,21 @@ def test_solution_set_records_failures(rng):
         fit_sppca(data, a=40.0, opts=FULL)
     assert info.value.active is not None
     assert failed.error == f"SingularScatter: {info.value}"
+
+
+@pytest.mark.parametrize("diag_approx", [True, False], ids=["diag", "full"])
+def test_failed_path_entry_has_no_state(rng, diag_approx):
+    # a start a * tau^2 that underflows to 0 is a fit that fails at its
+    # first step, recorded in place like any other; no failed entry carries
+    # a state
+    data = DataSet(1e-11 * gaussian_data(50, 2, rng=rng))
+    opts = FitOptions(diag_approx=diag_approx)
+    zero, unit = solution_set(data, [1e-310, 1.0], opts=opts)
+    assert zero.error.startswith("SingularScatter") and zero.error.endswith("(iteration 1)")
+    assert zero.ls is None and zero.iterations == 1 and zero.active_ratio == 0.0
+    assert unit.error is None and unit.ls.diag_approx == diag_approx
+    empty, _ = solution_set(DataSet(gaussian_data(200, 4, rng=rng)), [0.001, 4.0], opts=opts)
+    assert empty.error.startswith("EmptyActiveSet") and empty.ls is None
 
 
 def axis_data():

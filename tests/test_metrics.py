@@ -26,6 +26,7 @@ from robust_scatter import (
     unit_scale_fit,
 )
 from robust_scatter import estimator, metrics
+from robust_scatter.metrics import AsymptoticConstants
 from robust_scatter.weights import UNIT, weight, weight_product
 
 SPEC = WeightSpec()
@@ -303,6 +304,20 @@ def test_variance_validates_target():
         asymptotic_variance("trace", model, consts)
     with pytest.raises(ValueError):
         asymptotic_variance("eigratio", model, consts, i=1, j=1)
+
+
+@pytest.mark.parametrize("make, match", [
+    (lambda: AsymptoticConstants(eta_s=np.nan, phi_s=1.0, xi_s=1.0), "^eta_s is not finite$"),
+    (lambda: AsymptoticConstants(eta_s=1.0, phi_s=np.inf, xi_s=1.0), "^phi_s is not finite$"),
+    (lambda: AsymptoticConstants(eta_s=1.0, phi_s=1.0, xi_s=-np.inf), "^xi_s is not finite$"),
+    (lambda: AsymptoticConstants(eta_s=0.0, phi_s=1.0, xi_s=1.0), "^eta_s and phi_s must be"),
+    (lambda: AsymptoticConstants(eta_s=1.0, phi_s=-1.0, xi_s=1.0), "^eta_s and phi_s must be"),
+    (lambda: asymptotic_variance("eigvec", model_p3(), AsymptoticConstants(1.0, 1.0, 1.0)),
+     "^eigvec needs index j$"),
+], ids=["eta-nan", "phi-inf", "xi-inf", "eta-zero", "phi-negative", "eigvec-without-j"])
+def test_metrics_rejects_bad_arguments(make, match):
+    with pytest.raises(ValueError, match=match):
+        make()
 
 
 # -------------------------------------------------------- empirical oracle

@@ -229,6 +229,18 @@ def test_run_experiment_clean_gaussianish_recovery():
     assert table.rows[0]["mean_rho"] >= 0.95
 
 
+@pytest.mark.parametrize("make, match", [
+    (lambda: gen_eigenvalues(100, 5, 5, np.random.default_rng(0)), "^need k < p$"),
+    (lambda: gen_separable_mixture(SimConfig(n=50, p=5, k=2, nu=10.0, pi=0.2, c=0.5, seed=1)),
+     "^cannot separate contaminant at c=0.5: achievable margin 0.06 below 1.2$"),
+    (lambda: run_experiment(SimConfig(n=50, p=5, k=2, nu=10.0, pi=0.0, c=1.0, seed=1),
+                            replicates=0), "^replicates must be >= 1$"),
+], ids=["eigenvalues-k", "separable-margin", "zero-replicates"])
+def test_simgen_rejects_bad_arguments(make, match):
+    with pytest.raises(ValueError, match=match):
+        make()
+
+
 def test_run_experiment_rejects_unknown_method():
     cfg = SimConfig(n=100, p=5, k=2, nu=10.0, pi=0.0, c=1.0, seed=1)
     with pytest.raises(ValueError):

@@ -354,6 +354,15 @@ def test_select_deterministic():
     assert r1 == r2
 
 
+@pytest.mark.parametrize("field", ["ar_raw", "ar_smooth", "slope"])
+def test_curve_rejects_arrays_off_the_grid_length(field):
+    grid = np.array([1.0, 2.0, 3.0])
+    arrays = {"ar_raw": np.full(3, 0.5), "ar_smooth": np.full(3, 0.5), "slope": np.zeros(3)}
+    arrays[field] = arrays[field][:2]
+    with pytest.raises(ValueError, match=f"^{field} must have length 3$"):
+        ARCurve(grid, **arrays)
+
+
 def test_curve_rejects_bad_grid():
     y = np.array([0.1, 0.2, 0.3, 0.5, 0.6])
     with pytest.raises(ValueError, match="strictly increasing"):
