@@ -1,4 +1,5 @@
-"""Command-line front end: CSV in, JSON/CSV artifacts out.
+"""Command-line front end and the package's only file I/O: CSV in,
+JSON/CSV artifacts out.
 
 Subcommands
 
@@ -101,6 +102,13 @@ def _write_json(path, obj):
         fh.write("\n")
 
 
+def _write_csv(path, header, rows):
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)  # csv writes None as "" and a float as its repr
+
+
 def _spec_opts(args):
     spec = WeightSpec(alpha=args.alpha)
     opts = FitOptions(
@@ -162,14 +170,9 @@ def cmd_fit_pca(args) -> list[str]:
         "a": float(a),
         "alpha": float(args.alpha),
     })
-    with open(out_scores, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"PC{j + 1}" for j in range(k)])
-        writer.writerows(scores.tolist())  # csv writes a float as its repr
-    with open(out_weights, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["index", "weight", "active"])
-        writer.writerows(zip(range(data.n), w.tolist(), (w > 0).astype(int).tolist()))
+    _write_csv(out_scores, [f"PC{j + 1}" for j in range(k)], scores.tolist())
+    _write_csv(out_weights, ["index", "weight", "active"],
+               zip(range(data.n), w.tolist(), (w > 0).astype(int).tolist()))
     return [out_model, out_scores, out_weights]
 
 
@@ -208,14 +211,17 @@ def cmd_simulate(args, parser) -> list[str]:
     )
     out_csv = os.path.join(args.out_dir, "experiment.csv")
     out_json = os.path.join(args.out_dir, "experiment.json")
-    table.to_csv(out_csv)
-    table.to_json(out_json)
+    cols = ["n", "p", "k", "nu", "pi", "c", "seed", "method", "mean_rho", "se_rho", "n_fail"]
+    _write_csv(out_csv, cols, ([row[c] for c in cols] for row in table.rows))
+    _write_json(out_json, {"results": table.rows, "replicates": table.replicates})
     return [out_csv, out_json]
 
 
 def _add_common(sp, with_input=True):
     if with_input:
         sp.add_argument("input", help="input CSV (header row required)")
+        sp.add_argument("--no-standardize", action="store_true",
+                        help="skip per-column standardization of input CSV")
     sp.add_argument("--alpha", type=float, default=0.05, help="trimming threshold")
     sp.add_argument("--tol", type=float, default=1e-8, help="solver tolerance")
     sp.add_argument("--max-iter", type=int, default=500, help="solver iteration cap")
@@ -223,8 +229,6 @@ def _add_common(sp, with_input=True):
                     help="accepted for compatibility; no longer changes the computation")
     sp.add_argument("--full-mahalanobis", action="store_true",
                     help="use the full scatter in distances instead of its diagonal")
-    sp.add_argument("--no-standardize", action="store_true",
-                    help="skip per-column standardization of input CSV")
     sp.add_argument("--out-dir", default=".", help="output directory")
 
 

@@ -337,7 +337,7 @@ def _relative_change(mu_new, mu, V_new, V) -> float:
     return max(r_mu, r_v)
 
 
-def _finish(data, ls, a, iterations, converged, residual, mask) -> FitResult:
+def _finish(data, ls, a, iterations, converged, residual, mask, error=None) -> FitResult:
     pi = data.effective_weights()
     return FitResult(
         ls=ls,
@@ -347,6 +347,7 @@ def _finish(data, ls, a, iterations, converged, residual, mask) -> FitResult:
         iterations=iterations,
         converged=converged,
         residual=residual,
+        error=error,
     )
 
 
@@ -626,16 +627,8 @@ def solution_set(
 def _failed_fit(data, a, err) -> FitResult:
     """The path entry of a fit that failed with ``err``: no state, AR 0 and
     the error."""
-    return FitResult(
-        ls=None,
-        a=a,
-        active_mask=np.zeros(data.n, dtype=bool),
-        active_ratio=0.0,
-        iterations=err.iteration,
-        converged=False,
-        residual=np.inf,
-        error=f"{type(err).__name__}: {err}",
-    )
+    return _finish(data, None, a, err.iteration, False, np.inf,
+                   np.zeros(data.n, dtype=bool), f"{type(err).__name__}: {err}")
 
 
 def tau_scale(x: np.ndarray) -> float:

@@ -9,19 +9,18 @@ are built from Haar-random eigenvectors and uniformly drawn eigenvalues,
 signal eigenvalues scaled up with the aspect ratio p/n.
 
 ``run_experiment`` evaluates estimator variants over seeded replicates and
-reports subspace-similarity summaries per configuration and method.
+returns subspace-similarity summaries per configuration and method.
 
-A replicate takes the top-k eigenvectors of its path's scatters from one
-stacked ``numpy.linalg.eigh`` call and scores them in one stacked
-``similarity_rho`` call.  The F quantile of ``gen_separable_mixture`` comes
-from ``scipy.special``, imported inside that function, so importing the
+A replicate takes the top-k eigenvectors of the scatters it scores (its
+whole path for ``sppca_opt``, else the tuned fit's) from one stacked
+``numpy.linalg.eigh`` call and scores them in one ``similarity_rho``
+call.  The F quantile of ``gen_separable_mixture`` comes from
+``scipy.special``, imported inside that function, so importing the
 package (every CLI command does) loads no ``scipy``.
 """
 
 from __future__ import annotations
 
-import csv
-import json
 import warnings
 from dataclasses import asdict, dataclass, replace
 
@@ -34,6 +33,11 @@ from .tuning import select_a_star, smooth_curve
 from .weights import WeightSpec
 
 METHODS = ("sppca_astar", "sppca_opt", "tme")
+
+# gen_separable_mixture: the main cloud's squared-distance quantile, and the
+# multiple of it that every clipped contaminant point keeps
+_QUANTILE = 0.999
+_MARGIN = 2.25
 
 
 @dataclass(frozen=True)
@@ -139,11 +143,7 @@ def gen_mixture(cfg: SimConfig) -> tuple[DataSet, GroundTruth]:
     return DataSet(X), truth
 
 
-def gen_separable_mixture(
-    cfg: SimConfig,
-    quantile: float = 0.999,
-    margin: float = 2.25,
-) -> tuple[DataSet, GroundTruth]:
+def gen_separable_mixture(cfg: SimConfig) -> tuple[DataSet, GroundTruth]:
     """Mixture whose contaminant is confined to a ball that provably misses
     a large central region of the main cloud.
 
@@ -151,7 +151,7 @@ def gen_separable_mixture(
     main scatter assigns it the largest squared distance, and contaminant
     draws are radially clipped to ``||x - mu_out|| <= r``, with ``r`` chosen
     so every clipped point keeps squared distance (from the main center, in
-    the main metric) at least ``margin`` times the main cloud's ``quantile``
+    the main metric) at least 2.25 times the main cloud's 0.999 quantile
     level; when the full margin is out of reach the largest achievable one
     is used, down to a floor of 1.2.  This realizes an exactly separable
     two-block scenario for tuning tests, which the unrestricted t3
@@ -165,7 +165,7 @@ def gen_separable_mixture(
 
     # main-cloud squared distances are p * F(p, nu) distributed; fdtri is
     # the F distribution's quantile function
-    d_bulk = cfg.p * fdtri(cfg.p, cfg.nu, quantile)
+    d_bulk = cfg.p * fdtri(cfg.p, cfg.nu, _QUANTILE)
     lam_min = lam[-1]
     V0_inv = (Gamma / lam) @ Gamma.T
     norm_mu = cfg.c * np.sqrt(cfg.p)
@@ -178,7 +178,7 @@ def gen_separable_mixture(
 
     r_floor = 0.05 * np.sqrt(cfg.p)
     reachable = (np.sqrt(d_center) - r_floor / np.sqrt(lam_min)) ** 2 / d_bulk
-    margin_eff = min(margin, reachable)
+    margin_eff = min(_MARGIN, reachable)
     if margin_eff < 1.2:
         raise ValueError(
             f"cannot separate contaminant at c={cfg.c}: achievable margin "
@@ -204,24 +204,11 @@ def gen_separable_mixture(
 
 @dataclass(frozen=True)
 class ExperimentTable:
-    """Aggregated and per-replicate similarity results."""
+    """Aggregated (``rows``, one per config and method) and per-replicate
+    similarity results, as plain dicts; ``simulate`` writes them to disk."""
 
     rows: list[dict]
     replicates: list[dict]
-
-    def to_csv(self, path):
-        cols = ["n", "p", "k", "nu", "pi", "c", "seed", "method",
-                "mean_rho", "se_rho", "n_fail"]
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(cols)
-            # csv writes None as "" and a float as its repr
-            writer.writerows([row[c] for c in cols] for row in self.rows)
-
-    def to_json(self, path):
-        with open(path, "w") as fh:
-            json.dump({"results": self.rows, "replicates": self.replicates}, fh, indent=2)
-            fh.write("\n")
 
 
 def replicate_seed(seed: int, rep: int) -> int:
@@ -245,14 +232,14 @@ def _one_replicate(cfg, rep, methods, spec, opts):
     except RobustScatterError:  # fewer than 4 usable fits
         return {m: None for m in methods}
     sel = select_a_star(curve)
-
-    # the scatters are formed together, before the eigendecompositions:
-    # interleaving the two is slower
-    usable = [f for f in path if f.error is None]
-    _, vecs = top_eigenpairs(np.stack([f.ls.V for f in usable]), cfg.k)
-    rho = similarity_rho(vecs, truth.Gamma_k)
-    rhos = dict(zip((f.a for f in usable), rho.tolist()))
     astar_fit = next(f for f in path if f.a == sel.a_star)
+
+    # only sppca_opt scores the whole path; its scatters are formed
+    # together, before the eigendecompositions: interleaving is slower
+    scored = [f for f in path if f.error is None] if "sppca_opt" in methods else [astar_fit]
+    _, vecs = top_eigenpairs(np.stack([f.ls.V for f in scored]), cfg.k)
+    rho = similarity_rho(vecs, truth.Gamma_k)
+    rhos = dict(zip((f.a for f in scored), rho.tolist()))
 
     if "sppca_astar" in methods:
         out["sppca_astar"] = rhos[sel.a_star]
@@ -278,7 +265,7 @@ def run_experiment(
     opts: FitOptions = FitOptions(),
 ) -> ExperimentTable:
     """Mean and standard error of the subspace similarity per config and
-    method over seeded replicates.
+    method over seeded replicates, as an in-memory ``ExperimentTable``.
 
     ``sppca_astar`` picks the path element at the tuned scale, ``sppca_opt``
     the path element with the best similarity (an oracle, for reference

@@ -430,6 +430,14 @@ def test_cli_seed_only_for_simulation():
         assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("cmd", ["simulate", "benchmark"])
+def test_no_standardize_only_with_an_input(cmd):
+    # simulate and benchmark read no CSV, so they take no --no-standardize
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args([cmd, "--no-standardize"])
+    assert exc.value.code == 2
+
+
 def test_parser_is_built_once_and_parses_afresh():
     # main reuses one parser per process; a parse leaves no state behind
     parser = build_parser()

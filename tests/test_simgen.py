@@ -201,16 +201,32 @@ def test_run_experiment_single_row():
     assert 0.0 <= row["mean_rho"] <= 1.0
 
 
-def test_run_experiment_deterministic(tmp_path):
+def test_run_experiment_deterministic():
     cfg = SimConfig(n=100, p=5, k=2, nu=10.0, pi=0.1, c=3.0, seed=77)
     t1 = run_experiment(cfg, replicates=3)
     t2 = run_experiment(cfg, replicates=3)
     assert t1.rows == t2.rows
     assert t1.replicates == t2.replicates
-    p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-    t1.to_csv(p1)
-    t2.to_csv(p2)
-    assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_run_experiment_decomposes_only_what_its_methods_score(monkeypatch):
+    # without sppca_opt a replicate decomposes the tuned fit's scatter
+    # alone, and its values are those of the all-methods run, bit for bit
+    cfg = SimConfig(n=120, p=6, k=2, nu=10.0, pi=0.1, c=4.0, seed=9)
+    full = run_experiment(cfg, replicates=3)
+    sizes = []
+
+    def recording(stack, k):
+        sizes.append(len(stack))
+        return top_eigenpairs(stack, k)
+
+    monkeypatch.setattr(simgen, "top_eigenpairs", recording)
+    subset = run_experiment(cfg, methods=("sppca_astar", "tme"), replicates=3)
+    assert sizes == [1, 1, 1]
+    rho = {(r["rep"], r["method"]): r["rho"] for r in full.replicates}
+    assert all(r["rho"] is not None for r in subset.replicates)
+    assert [r["rho"] for r in subset.replicates] == [
+        rho[r["rep"], r["method"]] for r in subset.replicates]
 
 
 def test_run_experiment_oracle_dominates_tuned():
