@@ -153,7 +153,7 @@ def cmd_fit_pca(args) -> list[str]:
     else:
         raise RobustScatterError("supply --a or --tuning with a prior tuning.json")
     k = args.k if args.k is not None else min(data.p, 2)
-    fit = fit_sppca(data, a, spec=spec, opts=opts, tau=args.tau)
+    fit = fit_sppca(data, a, spec=spec, opts=opts)
     model = pca(fit.ls, k)
 
     d = squared_distances(data.X - fit.ls.mu, fit.ls.V, fit.ls.diag_approx)
@@ -248,7 +248,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--a", type=float, default=None, help="initialization scale")
     sp.add_argument("--tuning", default=None, help="tuning.json from a prior tune run")
     sp.add_argument("--k", type=int, default=None, help="retained rank (default min(p, 2))")
-    sp.add_argument("--tau", type=float, default=0.0, help="ridge blend weight")
 
     for name, defaults in (
         ("simulate", dict(n="250", p="10", k_list="2", nu="10", pi="0.0", c="4", reps=20)),

@@ -5,10 +5,12 @@ class RobustScatterError(Exception):
     """Base class for all errors raised by this package."""
 
     # fixed-point iteration at which a fit failed; 0 means before the first
-    # step.  ``fit_sppca`` sets it on the errors it re-raises.
+    # step.  ``estimator._fit_error`` sets it, for a single fit and for a
+    # solution-path entry alike.
     iteration: int = 0
     # observations active (inside the trimming ball) at the last step the
-    # failed fit completed; None when it failed in its first step
+    # failed fit completed, or at the full-metric step that left fewer than
+    # p active; None when it failed in its first step otherwise
     active: int | None = None
 
 

@@ -11,8 +11,7 @@ data carries explicit weights).  The solver iterates this map from an initial
 (mu_tilde, a * V_tilde); the initialization scale ``a`` selects which member
 of the solution family the iteration converges to.
 
-A ridge blend toward the identity for p > n (``tau`` in ``fit_sppca``), a
-Tyler-type baseline (``fit_tme``: the same map at a fixed mu with weight
+A Tyler-type baseline (``fit_tme``: the same map at a fixed mu with weight
 1/d, Tyler's M-estimator under the full metric), the robust initializer
 (column medians and tau-scales), and the eigendecomposition used for PCA
 output live here as well.
@@ -217,6 +216,8 @@ class FitOptions:
     diag_approx: bool = True
 
     def __post_init__(self):
+        if not 0.0 < self.tol < np.inf:
+            raise ValueError("tol must be a positive finite number")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
 
@@ -295,7 +296,7 @@ def in_ball(x, ls: LocationScatter, spec: WeightSpec = WeightSpec()) -> bool:
     return weight(mahalanobis(x, ls), spec) > 0.0
 
 
-def _step(XT, pi, mu, V, weigh, diag_approx, tau, D, Z):
+def _step(XT, pi, mu, V, weigh, diag_approx, D, Z):
     """One step of the fixed-point map, with weights w_i = weigh(d_i), on the
     columns of the p x n array XT; returns (mu_new, V_new, active), with
     ``active`` the number of observations of positive weight.
@@ -316,19 +317,15 @@ def _step(XT, pi, mu, V, weigh, diag_approx, tau, D, Z):
     if swd <= 0.0:
         raise DegenerateStep("all active observations coincide with the location")
     np.multiply(D, pw, out=Z)
-    return (XT @ pw) / sw, _scatter(Z @ D.T, swd, tau), active
+    return (XT @ pw) / sw, _scatter(Z @ D.T, swd), active
 
 
-def _scatter(C, swd, tau):
+def _scatter(C, swd):
     """The scatter update p / swd * C from the weighted cross-product
     C = sum_i pw_i (x_i - mu)(x_i - mu)^T about the previous location,
-    symmetrized, with its ``tau`` blend."""
-    p = C.shape[0]
-    V = (p / swd) * C
-    V = 0.5 * (V + V.T)
-    if tau > 0.0:
-        V = V / (1.0 + tau) + (tau / (1.0 + tau)) * np.eye(p)
-    return V
+    symmetrized."""
+    V = (C.shape[0] / swd) * C
+    return 0.5 * (V + V.T)
 
 
 def _relative_change(mu_new, mu, V_new, V) -> float:
@@ -357,7 +354,6 @@ def fit_sppca(
     init: LocationScatter | None = None,
     spec: WeightSpec = WeightSpec(),
     opts: FitOptions = FitOptions(),
-    tau: float = 0.0,
 ) -> FitResult:
     """Run the fixed-point iteration from (mu_tilde, a * V_tilde).
 
@@ -369,11 +365,6 @@ def fit_sppca(
         under the metric ``opts`` names, whatever its own ``diag_approx``;
         by default the robust initial estimate scaled by ``a``.
     spec, opts : weight family and solver controls.
-    tau : ridge blend weight; each scatter update is shrunk toward the
-        identity, V <- V_fp / (1 + tau) + tau / (1 + tau) * I.  With the
-        default tau = 0 the map is the plain one.  The blend keeps V positive
-        definite when p > n, where the plain update is rank deficient and
-        the full-matrix distance computation fails.
 
     Under the diagonal metric the fit runs through the same batched kernel
     as a solution path (a path of one scale).  Returns a FitResult;
@@ -383,22 +374,21 @@ def fit_sppca(
     number of observations active at the last completed step, in the
     message and in their ``iteration`` and ``active`` attributes; a start
     no step can take fails at iteration 1 with ``active`` None.  Under the
-    full metric with n >= p, a step that leaves fewer than p observations
-    active raises SingularScatter with that step's count.
+    full metric a step that leaves fewer than p observations active raises
+    SingularScatter with that step's count, so with n < p the fit fails at
+    iteration 1.
     """
     if a <= 0:
         raise ValueError("a must be positive")
-    if tau < 0:
-        raise ValueError("tau must be nonnegative")
     if init is None:
         base = initial_estimate(data)
         mu0, V0 = base.mu, a * base.V
     else:
         mu0, V0 = init.mu, init.V
     if opts.diag_approx:
-        (fit,) = _diag_fits(data, [a], mu0, np.diag(V0)[None, :], spec, opts, tau)
+        (fit,) = _diag_fits(data, [a], mu0, np.diag(V0)[None, :], spec, opts)
     else:
-        fit = _full_fit(data, a, mu0, V0, spec, opts, tau)
+        fit = _full_fit(data, a, mu0, V0, spec, opts)
     if isinstance(fit, FitResult):
         return fit
     try:
@@ -419,7 +409,7 @@ def _fit_error(n: int, cls, message: str, it: int, active: int | None):
     return err
 
 
-def _full_fit(data, a, mu, V, spec, opts, tau):
+def _full_fit(data, a, mu, V, spec, opts):
     """Full-metric fixed-point iteration from (mu, V): a FitResult, or for a
     failed fit its ``_fit_error``, with the active count taken at the last
     completed step (None before the first, so also for a V that is not
@@ -440,10 +430,9 @@ def _full_fit(data, a, mu, V, spec, opts, tau):
     active = None  # of the last completed step
     try:
         for it in range(1, opts.max_iter + 1):
-            mu_new, V_new, count = _step(XT, pi, mu, V, weigh, False, tau, D, Z)
-            # the scatter of fewer than p points is singular; a tau blend only
-            # hides that while the fit diverges (for n < p, hiding it is its job)
-            if count < data.p <= data.n:
+            mu_new, V_new, count = _step(XT, pi, mu, V, weigh, False, D, Z)
+            # the scatter of fewer than p points is singular
+            if count < data.p:
                 return _fit_error(data.n, SingularScatter,
                                   f"fewer than {data.p} observations active", it, count)
             active = count
@@ -475,18 +464,18 @@ def _diag_distances(Z, M, v):
     return np.maximum(d, 0.0, out=d)
 
 
-def _diag_scatter(Xc, w, m, swd, tau, mu, v):
+def _diag_scatter(Xc, w, m, swd, mu, v):
     """The state at which a diagonal-metric fit ended: location mu, and the
     full scatter update ``_step`` makes from location m with weights w
     (swd = sum w d), the weighted product of the rows Xc centred at m, with
     v, the kernel's diag V, as diagonal."""
     Y = Xc - m
-    V = _scatter((Y * w[:, None]).T @ Y, swd, tau)
+    V = _scatter((Y * w[:, None]).T @ Y, swd)
     np.fill_diagonal(V, v)
     return LocationScatter(mu, V, diag_approx=True)
 
 
-def _diag_fits(data, scales, mu0, v0, spec, opts, tau=0.0) -> list:
+def _diag_fits(data, scales, mu0, v0, spec, opts) -> list:
     """Diagonal-metric fits from (mu0, diag v0[j]), one per scale, iterated
     together.
 
@@ -498,8 +487,8 @@ def _diag_fits(data, scales, mu0, v0, spec, opts, tau=0.0) -> list:
         mu' = W^T X / sum W
         v'  = p / sum(W * d) * (W^T (X * X) - 2 M * W^T X + M^2 * sum W)
 
-    or its ``tau`` blend, with the rows centred at ``mu0`` to keep the
-    expanded form's cancellation small.  A fit leaves the block when
+    with the rows centred at ``mu0`` to keep the expanded form's
+    cancellation small.  A fit leaves the block when
     (mu, diag V) moves by at most ``opts.tol`` relative, when it fails, or
     at ``opts.max_iter``.  A diagonal entry that is not a positive normal
     double fails the fit (SingularScatter), as every distance takes its
@@ -558,8 +547,6 @@ def _diag_fits(data, scales, mu0, v0, spec, opts, tau=0.0) -> list:
         S2, S1 = S[:, :p], S[:, p:]
         mu_new = S1 / sw[:, None]
         v_new = (p / swd)[:, None] * (S2 - 2.0 * M * S1 + M * M * sw[:, None])
-        if tau > 0.0:
-            v_new = v_new / (1.0 + tau) + tau / (1.0 + tau)
         r_mu = np.linalg.norm(mu_new - M, axis=1) / (1.0 + np.linalg.norm(M + mu0, axis=1))
         r_v = np.linalg.norm(v_new - v, axis=1) / (1.0 + np.linalg.norm(v, axis=1))
         residual = np.maximum(r_mu, r_v)
@@ -573,8 +560,8 @@ def _diag_fits(data, scales, mu0, v0, spec, opts, tau=0.0) -> list:
             # the active sets: the trimming balls of the final states (in_ball)
             masks = weight(_diag_distances(Z, mu_new[ended], v_new[ended]), spec) > 0
             for k, j in enumerate(ended):
-                ls = partial(_diag_scatter, Xc, W[:, j].copy(), M[j], swd[j], tau,
-                             mu_new[j] + mu0, v_new[j])
+                ls = partial(_diag_scatter, Xc, W[:, j].copy(), M[j], swd[j], mu_new[j] + mu0,
+                             v_new[j])
                 ends[live[j]] = _finish(data, ls, scales[live[j]], it,
                                         bool(residual[j] <= opts.tol), float(residual[j]),
                                         masks[:, k])
@@ -619,7 +606,7 @@ def solution_set(
             block = grid[lo:lo + data.p]
             fits += _diag_fits(data, block, base.mu, block[:, None] * dv, spec, opts)
     else:
-        fits = [_full_fit(data, a, base.mu, a * base.V, spec, opts, 0.0) for a in grid]
+        fits = [_full_fit(data, a, base.mu, a * base.V, spec, opts) for a in grid]
     return [fit if isinstance(fit, FitResult) else _failed_fit(data, a, fit)
             for a, fit in zip(grid, fits)]
 
@@ -723,7 +710,7 @@ def fit_tme(
     dropped = 0
     for _ in range(opts.max_iter):
         try:
-            _, V_new, active = _step(XT, pi, mu, V, _tyler, opts.diag_approx, 0.0, D, Z)
+            _, V_new, active = _step(XT, pi, mu, V, _tyler, opts.diag_approx, D, Z)
         except EmptyActiveSet:
             raise DegenerateStep("every observation coincides with mu") from None
         dropped = max(dropped, data.n - active)
@@ -777,5 +764,5 @@ def estimating_equation_residual(
     ls = fit.ls
     D, Z = np.empty((2, data.p, data.n))
     mu_new, V_new, _ = _step(data.X.T, data.effective_weights(), ls.mu, ls.V,
-                             partial(weight, spec=spec), ls.diag_approx, 0.0, D, Z)
+                             partial(weight, spec=spec), ls.diag_approx, D, Z)
     return _relative_change(mu_new, ls.mu, V_new, ls.V)

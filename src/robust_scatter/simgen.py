@@ -53,6 +53,8 @@ class SimConfig:
     seed: int
 
     def __post_init__(self):
+        if not self.k >= 1:
+            raise ValueError("need k >= 1")
         if not self.k < self.p:
             raise ValueError("need k < p")
         if not self.nu > 2:
@@ -87,6 +89,8 @@ def gen_eigenvalues(n: int, p: int, k: int, rng: np.random.Generator) -> np.ndar
     Redrawn until all consecutive gaps exceed 1e-6 so the eigenvalues are
     strictly distinct.
     """
+    if not k >= 1:
+        raise ValueError("need k >= 1")
     if not k < p:
         raise ValueError("need k < p")
     u = 1.0 + np.sqrt(p / n)

@@ -1,6 +1,8 @@
+import argparse
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -15,7 +17,8 @@ import robust_scatter
 from robust_scatter import EmptyData
 from robust_scatter.cli import build_parser, load_csv, main
 
-SCHEMAS = Path(__file__).resolve().parents[1] / "docs" / "schemas"
+ROOT = Path(__file__).resolve().parents[1]
+SCHEMAS = ROOT / "docs" / "schemas"
 
 
 def schema(name):
@@ -300,12 +303,27 @@ def test_cmd_simulate_usage_error_exit_2(tmp_path):
 @pytest.mark.parametrize("args, message", [
     (["--n", ","], "invalid simulation grid: empty parameter list"),
     (["--methods", "foo"], "methods must be a subset of "),
-], ids=["empty-n", "unknown-method"])
+    (["--k", "0"], "invalid simulation grid: need k >= 1"),
+    (["--k", "-1"], "invalid simulation grid: need k >= 1"),
+], ids=["empty-n", "unknown-method", "k-zero", "k-negative"])
 def test_cmd_simulate_bad_lists_exit_2(tmp_path, capsys, args, message):
     with pytest.raises(SystemExit) as exc:
         main(["simulate", *args, "--out-dir", str(tmp_path)])
     assert exc.value.code == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("tol", ["-1", "nan"])
+def test_cmd_simulate_bad_tol_is_one_json_error(tmp_path, capsys, tol):
+    # a tolerance no residual meets would run every fit unconverged
+    rc = main(["simulate", "--n", "60", "--p", "5", "--replicates", "2", "--tol", tol,
+               "--out-dir", str(tmp_path)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert json.loads(err) == {"error": "ValueError",
+                               "message": "tol must be a positive finite number"}
+    assert not (tmp_path / "experiment.csv").exists()
 
 
 def test_cmd_simulate_determinism_across_workers(tmp_path):
@@ -428,6 +446,10 @@ def test_cli_seed_only_for_simulation():
         with pytest.raises(SystemExit) as exc:
             parser.parse_args([cmd, "x.csv", "--seed", "1"])
         assert exc.value.code == 2
+    # every fit runs the plain fixed-point map: there is no ridge blend
+    with pytest.raises(SystemExit) as exc:
+        parser.parse_args(["fit", "x.csv", "--a", "5", "--tau", "0.3"])
+    assert exc.value.code == 2
 
 
 @pytest.mark.parametrize("cmd", ["simulate", "benchmark"])
@@ -446,3 +468,17 @@ def test_parser_is_built_once_and_parses_afresh():
     second = parser.parse_args(["fit", "b.csv"])
     assert (first.a, first.k) == (2.0, 3)
     assert (second.input, second.a, second.k) == ("b.csv", None, None)
+
+
+def test_readme_cli_section_names_every_option():
+    # README's ## CLI section names each option some subcommand parses, and
+    # no option that none does
+    parser = build_parser()
+    (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    parsed = {opt for sp in sub.choices.values() for action in sp._actions
+              for opt in action.option_strings if opt.startswith("--")} - {"--help"}
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    named = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", section))
+    assert named - parsed == set()
+    assert parsed - named == set()

@@ -113,6 +113,11 @@ def test_diagonal_state_holds_the_fits_diagonal_rule():
 def test_fit_options_need_one_iteration():
     with pytest.raises(ValueError, match="max_iter"):
         FitOptions(max_iter=0)
+    # no residual meets a tolerance of 0 or below, or NaN; every one meets inf
+    for tol in (0.0, -1.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="^tol must be a positive finite number$"):
+            FitOptions(tol=tol)
+    assert FitOptions(tol=1e-300).tol == 1e-300
 
 
 def test_location_scatter_validation():
@@ -375,7 +380,7 @@ def test_permutation_equivariance(rng):
     assert np.allclose(fit_p.ls.V, fit.ls.V[np.ix_(perm, perm)], rtol=1e-7, atol=1e-9)
 
 
-def reference_full_fit(data, mu, V, spec, opts, tau):
+def reference_full_fit(data, mu, V, spec, opts):
     """The full-metric fixed point as a plain loop over rows, with distances
     from ``np.linalg.solve``: (mu, V, iterations, converged, mask)."""
     X, pi = data.X, data.effective_weights()
@@ -393,8 +398,6 @@ def reference_full_fit(data, mu, V, spec, opts, tau):
         mu_new = (pw @ X) / pw.sum()
         V_new = p / (pw @ d) * (diff.T @ (diff * pw[:, None]))
         V_new = 0.5 * (V_new + V_new.T)
-        if tau > 0.0:
-            V_new = V_new / (1.0 + tau) + tau / (1.0 + tau) * np.eye(p)
         r = max(np.linalg.norm(mu_new - mu) / (1.0 + np.linalg.norm(mu)),
                 np.linalg.norm(V_new - V) / (1.0 + np.linalg.norm(V)))
         mu, V = mu_new, V_new
@@ -405,16 +408,12 @@ def reference_full_fit(data, mu, V, spec, opts, tau):
     return mu, V, it, converged, mask
 
 
-@pytest.mark.parametrize("variant", ["plain", "obs_weights", "tau", "unit"])
+@pytest.mark.parametrize("variant", ["plain", "obs_weights", "unit"])
 @pytest.mark.parametrize("p", [1, 3, 50])
 def test_full_fit_matches_row_layout_reference(p, variant):
     rng = np.random.default_rng(100 + p)
     n = 8 * p + 200
     X = gaussian_data(n, p, V=np.diag(np.linspace(3.0, 1.0, p)), rng=rng)
-    if variant == "tau":
-        # an identity anchor needs a fixed point of scale O(1) (see
-        # test_regularized_rescues_p_greater_than_n)
-        X *= 0.25
     X += 1.0
     obs = None
     if variant == "obs_weights":
@@ -422,15 +421,13 @@ def test_full_fit_matches_row_layout_reference(p, variant):
         obs /= obs.sum()
     data = DataSet(X, obs_weights=obs)
     spec = WeightSpec(kind=UNIT) if variant == "unit" else WeightSpec()
-    tau = 0.3 if variant == "tau" else 0.0
     a = 0.5 * p  # small enough that the hard threshold trims
     base = initial_estimate(data)
     # a fit stopped after two steps, far from the fixed point, and a converged one
     for max_iter in (2, 500):
         opts = FitOptions(tol=1e-9, max_iter=max_iter, diag_approx=False)
-        fit = fit_sppca(data, a, spec=spec, opts=opts, tau=tau)
-        mu, V, iters, converged, mask = reference_full_fit(data, base.mu, a * base.V, spec,
-                                                           opts, tau)
+        fit = fit_sppca(data, a, spec=spec, opts=opts)
+        mu, V, iters, converged, mask = reference_full_fit(data, base.mu, a * base.V, spec, opts)
         assert fit.converged == converged
         assert fit.iterations == iters
         assert np.linalg.norm(fit.ls.mu - mu) <= 1e-12 * np.linalg.norm(mu)
@@ -614,24 +611,23 @@ def test_batched_fits_report_their_own_active_counts():
     assert ok.converged and ok.active_ratio == 1.0
 
 
-def test_full_metric_tau_divergence_reports_shrunken_active_set():
-    # the blend keeps the smallest eigenvalue up while the largest grows
-    # without bound; the failure names how few points were still active
+def test_full_metric_shrinking_ball_reports_shrunken_active_set():
+    # from a small scale the trimming ball shrinks step by step until fewer
+    # than p points are left; the failure names how few were still active
     X = gaussian_data(600, 50, V=np.diag(np.linspace(3, 1, 50)),
                       rng=np.random.default_rng(150)) + 1
     with pytest.raises(SingularScatter) as info:
-        fit_sppca(DataSet(X), a=25.0, tau=0.3, opts=FULL)
+        fit_sppca(DataSet(X), a=15.0, opts=FULL)
     exc = info.value
     assert exc.iteration > 1 and exc.active < 50
     assert f"(iteration {exc.iteration}), {exc.active} of 600 active" in str(exc)
     # it ends at the first step with fewer than p active: step k + 1 weights
     # the trimming ball of the state after k steps, that of a fit cut off there
     base = initial_estimate(DataSet(X))
-    d0 = squared_distances(X - base.mu, 25.0 * base.V, False)
+    d0 = squared_distances(X - base.mu, 15.0 * base.V, False)
     counts = [np.count_nonzero(d0 < WeightSpec().cutoff)]
     for k in range(1, exc.iteration):
-        cut = fit_sppca(DataSet(X), a=25.0, tau=0.3,
-                        opts=FitOptions(max_iter=k, diag_approx=False))
+        cut = fit_sppca(DataSet(X), a=15.0, opts=FitOptions(max_iter=k, diag_approx=False))
         counts.append(np.count_nonzero(cut.active_mask))
     assert min(counts[:-1]) >= 50 and counts[-1] == exc.active
 
@@ -664,7 +660,7 @@ def test_in_ball_agrees_with_fitted_active_sets():
     cut = FitOptions(max_iter=2)
     fits = (solution_set(data, grid) + solution_set(data, grid, opts=cut)
             + solution_set(data, grid[::3], opts=FULL)
-            + [fit_sppca(data, 6.0), fit_sppca(data, 6.0, tau=0.5), fit_sppca(data, 6.0, opts=cut)])
+            + [fit_sppca(data, 6.0), fit_sppca(data, 6.0, opts=cut)])
     usable = [f for f in fits if f.error is None]
     assert len(usable) >= 20 and len({int(f.active_mask.sum()) for f in usable}) >= 10
     for f in usable:
@@ -929,40 +925,20 @@ def test_tme_flags_non_convergence(rng, diag_approx):
     assert np.linalg.norm(ls.V - V) <= 1e-12 * np.linalg.norm(V)
 
 
-# -------------------------------------------------------- regularized fits
+# ------------------------------------------------------------ fits at p > n
 
 
-def test_regularized_tau_zero_identical(rng):
-    data = DataSet(gaussian_data(300, 3, rng=rng))
-    plain = fit_sppca(data, a=3.0)
-    reg = fit_sppca(data, a=3.0, tau=0.0)
-    assert np.array_equal(plain.ls.V, reg.ls.V)
-    assert np.array_equal(plain.ls.mu, reg.ls.mu)
-    assert plain.iterations == reg.iterations
-
-
-def test_regularized_negative_tau_rejected(rng):
-    data = DataSet(gaussian_data(50, 3, rng=rng))
-    with pytest.raises(ValueError, match="tau"):
-        fit_sppca(data, a=3.0, tau=-0.1)
-
-
-def test_regularized_large_tau_gives_identity(rng):
-    data = DataSet(gaussian_data(300, 3, rng=rng))
-    fit = fit_sppca(data, a=3.0, tau=1e6)
-    assert np.linalg.norm(fit.ls.V - np.eye(3), "fro") <= 1e-4
-
-
-def test_regularized_rescues_p_greater_than_n(rng):
-    # identity-anchored blend: data variance must be commensurate with the
-    # anchor or the trimming ball around an O(1) scatter is empty at p = 40
-    X = 0.22 * gaussian_data(30, 40, rng=rng)
-    data = DataSet(X)
-    with pytest.raises(SingularScatter):
-        fit_sppca(data, a=40.0, opts=FitOptions(diag_approx=False))
-    fit = fit_sppca(data, a=40.0, tau=1.0, opts=FitOptions(diag_approx=False))
+def test_full_metric_fails_at_iteration_1_when_p_exceeds_n(rng):
+    # the scatter of n < p points is singular, so the first full-metric step
+    # ends the fit, naming its active count; the diagonal metric needs no
+    # p points and converges on the same data
+    data = DataSet(0.22 * gaussian_data(30, 40, rng=rng))
+    message = r"^fewer than 40 observations active \(iteration 1\), 30 of 30 active$"
+    with pytest.raises(SingularScatter, match=message):
+        fit_sppca(data, a=40.0, opts=FULL)
+    fit = fit_sppca(data, a=40.0)
     assert fit.converged
-    assert estimating_equation_residual(data, fit) > 0  # smoke: state is usable
+    assert fit.active_ratio == pytest.approx(1.0)
 
 
 # --------------------------------------------------------------------- pca

@@ -493,7 +493,7 @@ def test_empirical_if_validates_arguments():
 def fixed_scatter_fits(monkeypatch, V, diag_approx=False):
     """Make every fit of the unit-scale search return scatter V, whatever its
     scale."""
-    def fake_fit(data, a, init=None, spec=SPEC, opts=IF_OPTS, tau=0.0):
+    def fake_fit(data, a, init=None, spec=SPEC, opts=IF_OPTS):
         ls = LocationScatter(np.zeros(data.p), V, diag_approx=diag_approx)
         return FitResult(ls=ls, a=a, active_mask=np.ones(data.n, dtype=bool),
                          active_ratio=1.0, iterations=1, converged=True, residual=0.0)

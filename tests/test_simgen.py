@@ -247,11 +247,15 @@ def test_run_experiment_clean_gaussianish_recovery():
 
 @pytest.mark.parametrize("make, match", [
     (lambda: gen_eigenvalues(100, 5, 5, np.random.default_rng(0)), "^need k < p$"),
+    (lambda: gen_eigenvalues(100, 5, 0, np.random.default_rng(0)), "^need k >= 1$"),
+    (lambda: SimConfig(n=100, p=5, k=0, nu=10.0, pi=0.1, c=1.0, seed=0), "^need k >= 1$"),
+    (lambda: SimConfig(n=100, p=5, k=-1, nu=10.0, pi=0.1, c=1.0, seed=0), "^need k >= 1$"),
     (lambda: gen_separable_mixture(SimConfig(n=50, p=5, k=2, nu=10.0, pi=0.2, c=0.5, seed=1)),
      "^cannot separate contaminant at c=0.5: achievable margin 0.06 below 1.2$"),
     (lambda: run_experiment(SimConfig(n=50, p=5, k=2, nu=10.0, pi=0.0, c=1.0, seed=1),
                             replicates=0), "^replicates must be >= 1$"),
-], ids=["eigenvalues-k", "separable-margin", "zero-replicates"])
+], ids=["eigenvalues-k", "eigenvalues-k0", "config-k0", "config-k-neg", "separable-margin",
+        "zero-replicates"])
 def test_simgen_rejects_bad_arguments(make, match):
     with pytest.raises(ValueError, match=match):
         make()
