@@ -128,16 +128,16 @@ def cmd_tune(args) -> list[str]:
     out_curve = os.path.join(args.out_dir, "ar_curve.json")
     out_tuning = os.path.join(args.out_dir, "tuning.json")
     _write_json(out_curve, {
-        "a": [float(v) for v in curve.grid],
-        "ar_raw": [float(v) for v in curve.ar_raw],
-        "ar_smooth": [float(v) for v in curve.ar_smooth],
-        "slope": [float(v) for v in curve.slope],
+        "a": curve.grid.tolist(),
+        "ar_raw": curve.ar_raw.tolist(),
+        "ar_smooth": curve.ar_smooth.tolist(),
+        "slope": curve.slope.tolist(),
     })
     _write_json(out_tuning, {
         "a_star": result.a_star,
         "ar_at_a_star": result.ar_at_a_star,
         "fallback_used": result.fallback_used,
-        "candidates": [float(v) for v in result.candidates],
+        "candidates": result.candidates.tolist(),
     })
     return [out_curve, out_tuning]
 
@@ -157,16 +157,16 @@ def cmd_fit_pca(args) -> list[str]:
     model = pca(fit.ls, k)
 
     d = squared_distances(data.X - fit.ls.mu, fit.ls.V, fit.ls.diag_approx)
-    w = np.asarray(weight(d, spec))
+    w = weight(d, spec)
     scores = (data.X - fit.ls.mu) @ model.eigenvectors
 
     out_model = os.path.join(args.out_dir, "model.json")
     out_scores = os.path.join(args.out_dir, "scores.csv")
     out_weights = os.path.join(args.out_dir, "weights.csv")
     _write_json(out_model, {
-        "mu": [float(v) for v in fit.ls.mu],
-        "eigenvalues": [float(v) for v in model.eigenvalues],
-        "eigenvectors": [[float(v) for v in row] for row in model.eigenvectors],
+        "mu": fit.ls.mu.tolist(),
+        "eigenvalues": model.eigenvalues.tolist(),
+        "eigenvectors": model.eigenvectors.tolist(),
         "a": float(a),
         "alpha": float(args.alpha),
     })

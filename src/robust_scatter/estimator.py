@@ -206,7 +206,6 @@ class PCAModel:
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-    k: int
 
 
 @dataclass(frozen=True)
@@ -732,7 +731,7 @@ def pca(ls: LocationScatter, k: int) -> PCAModel:
     if not 1 <= k <= p:
         raise ValueError(f"k must be in [1, {p}], got {k}")
     vals, vecs = top_eigenpairs(ls.V, k)
-    return PCAModel(eigenvalues=vals, eigenvectors=vecs, k=k)
+    return PCAModel(eigenvalues=vals, eigenvectors=vecs)
 
 
 def top_eigenpairs(V: np.ndarray, k: int):

@@ -303,7 +303,7 @@ def unit_scale_fit(
     log |V(a)|^(1/p) finds the requested member of the solution family in a
     handful of cold-started fits, all from one robust initial estimate.  The
     default target is unit scale.  Raises OracleFailure when the search does
-    not converge in 30 secant steps or a fitted scatter collapses.
+    not converge in 32 fits or a fitted scatter collapses.
     """
     p = reference.p
     base = initial_estimate(reference)
@@ -319,20 +319,17 @@ def unit_scale_fit(
             raise OracleFailure("scatter collapsed during unit-scale search")
         return fit, logdet / p - log_target
 
-    x0 = math.log(a_hint) if a_hint is not None else log_target - log_det_init
-    fit0, g0 = g(x0)
-    if abs(g0) <= 1e-6:
-        return fit0
-    x1 = x0 - g0  # unit slope of log-det in log-scale
-    fit1, g1 = g(x1)
-    for _ in range(30):
+    x1 = math.log(a_hint) if a_hint is not None else log_target - log_det_init
+    x0 = g0 = None
+    for _ in range(32):
+        fit1, g1 = g(x1)
         if abs(g1) <= 1e-6:
             return fit1
-        denom = g1 - g0
-        step = g1 * (x1 - x0) / denom if denom != 0 else -g1
+        # secant step; unit slope of log-det in log-scale at the start and
+        # where the last two values tie
+        step = g1 if g0 is None or g1 == g0 else g1 * (x1 - x0) / (g1 - g0)
         x0, g0 = x1, g1
         x1 = x1 - step
-        fit1, g1 = g(x1)
     raise OracleFailure(f"scale search did not converge (|log det|/p = {abs(g1):.2e})")
 
 

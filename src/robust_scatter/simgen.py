@@ -70,7 +70,6 @@ class GroundTruth:
     V_0: np.ndarray
     Gamma_k: np.ndarray
     mu_out: np.ndarray
-    V_out: np.ndarray
     labels: np.ndarray  # True marks a contaminated row
     truncation_radius: float | None = None
 
@@ -142,8 +141,7 @@ def gen_mixture(cfg: SimConfig) -> tuple[DataSet, GroundTruth]:
     mu_out = cfg.c * np.sqrt(cfg.p) * u
 
     X, labels = _assemble(cfg, rng, V_0, lambda n_out, r: sample_mvt(3.0, mu_out, V_out, n_out, r))
-    truth = GroundTruth(V_0=V_0, Gamma_k=Gamma[:, : cfg.k], mu_out=mu_out,
-                        V_out=V_out, labels=labels)
+    truth = GroundTruth(V_0=V_0, Gamma_k=Gamma[:, : cfg.k], mu_out=mu_out, labels=labels)
     return DataSet(X), truth
 
 
@@ -151,15 +149,16 @@ def gen_separable_mixture(cfg: SimConfig) -> tuple[DataSet, GroundTruth]:
     """Mixture whose contaminant is confined to a ball that provably misses
     a large central region of the main cloud.
 
-    The contaminant center is placed in the candidate direction where the
-    main scatter assigns it the largest squared distance, and contaminant
-    draws are radially clipped to ``||x - mu_out|| <= r``, with ``r`` chosen
-    so every clipped point keeps squared distance (from the main center, in
-    the main metric) at least 2.25 times the main cloud's 0.999 quantile
-    level; when the full margin is out of reach the largest achievable one
-    is used, down to a floor of 1.2.  This realizes an exactly separable
-    two-block scenario for tuning tests, which the unrestricted t3
-    contaminant of ``gen_mixture`` cannot.
+    The contaminant center lies at norm ``c * sqrt(p)`` along the main
+    scatter's smallest-eigenvalue eigenvector, the direction in which that
+    norm has the largest squared distance ``(c * sqrt(p))^2 / lambda_min``
+    in the main metric.  Contaminant draws are radially clipped to
+    ``||x - mu_out|| <= r``, with ``r`` chosen so every clipped point keeps
+    squared distance (from the main center, in the main metric) at least
+    2.25 times the main cloud's 0.999 quantile level; when the full margin
+    is out of reach the largest achievable one is used, down to a floor of
+    1.2.  This realizes an exactly separable two-block scenario for tuning
+    tests, which the unrestricted t3 contaminant of ``gen_mixture`` cannot.
     """
     from scipy.special import fdtri
 
@@ -171,14 +170,8 @@ def gen_separable_mixture(cfg: SimConfig) -> tuple[DataSet, GroundTruth]:
     # the F distribution's quantile function
     d_bulk = cfg.p * fdtri(cfg.p, cfg.nu, _QUANTILE)
     lam_min = lam[-1]
-    V0_inv = (Gamma / lam) @ Gamma.T
     norm_mu = cfg.c * np.sqrt(cfg.p)
-
-    cands = list(rng.standard_normal((64, cfg.p)))
-    cands.append(Gamma[:, -1].copy())  # smallest-eigenvalue direction
-    u = max((c / np.linalg.norm(c) for c in cands),
-            key=lambda v: float(v @ V0_inv @ v))
-    d_center = norm_mu**2 * float(u @ V0_inv @ u)
+    d_center = norm_mu**2 / lam_min
 
     r_floor = 0.05 * np.sqrt(cfg.p)
     reachable = (np.sqrt(d_center) - r_floor / np.sqrt(lam_min)) ** 2 / d_bulk
@@ -191,7 +184,7 @@ def gen_separable_mixture(cfg: SimConfig) -> tuple[DataSet, GroundTruth]:
     d_target = margin_eff * d_bulk
     r = np.sqrt(lam_min) * (np.sqrt(d_center) - np.sqrt(d_target))
     r = min(r, 0.75 * norm_mu)
-    mu_out = norm_mu * u
+    mu_out = norm_mu * Gamma[:, -1]
 
     def clipped_rows(n_out, rgen):
         rows = sample_mvt(3.0, mu_out, V_out, n_out, rgen)
@@ -202,7 +195,7 @@ def gen_separable_mixture(cfg: SimConfig) -> tuple[DataSet, GroundTruth]:
 
     X, labels = _assemble(cfg, rng, V_0, clipped_rows)
     truth = GroundTruth(V_0=V_0, Gamma_k=Gamma[:, : cfg.k], mu_out=mu_out,
-                        V_out=V_out, labels=labels, truncation_radius=float(r))
+                        labels=labels, truncation_radius=float(r))
     return DataSet(X), truth
 
 

@@ -95,7 +95,8 @@ def build_grid(
     first scan point if that one already reaches ell), and a_max is the
     first with AR >= top.  ``m`` geometrically spaced scales on
     [a_min, a_max] are returned, whatever n.  Raises GridNotFound when the
-    scan never reaches ``ell`` or when top is below 1 - 0.005.
+    scan never reaches ``ell``, quoting the error of its largest scale when
+    every scan fit failed, or when top is below 1 - 0.005.
     """
     if not 0.0 < ell < 1.0:
         raise ValueError("ell must be in (0, 1)")
@@ -103,11 +104,15 @@ def build_grid(
         raise ValueError("m must be at least 2")
     p = data.p
     scan = np.geomspace(_SCAN_LO * p, _SCAN_HI * p, _SCAN_POINTS)
-    ars = np.array([f.active_ratio for f in solution_set(data, scan, spec=spec, opts=opts)])
+    path = solution_set(data, scan, spec=spec, opts=opts)
+    ars = np.array([f.active_ratio for f in path])
 
     reached = np.flatnonzero(ars >= ell)
     if reached.size == 0:
-        raise GridNotFound(f"AR never reached {ell} on the scan range [{scan[0]:g}, {scan[-1]:g}]")
+        cause = (f"; every scan fit failed, at a = {scan[-1]:g} with {path[-1].error}"
+                 if all(f.error for f in path) else "")
+        raise GridNotFound(f"AR never reached {ell} on the scan range "
+                           f"[{scan[0]:g}, {scan[-1]:g}]{cause}")
     top = min(ars.max(), 1.0 - 1e-12)
     if top < 1.0 - _TOP_AR_DELTA:
         raise GridNotFound(f"AR never reached {1.0 - _TOP_AR_DELTA:g} on the scan range "

@@ -14,7 +14,7 @@ import pytest
 jsonschema = pytest.importorskip("jsonschema")
 
 import robust_scatter
-from robust_scatter import EmptyData
+from robust_scatter import EmptyData, SimConfig, gen_mixture
 from robust_scatter.cli import build_parser, load_csv, main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -345,6 +345,23 @@ def test_cli_error_is_structured_json(tmp_path, capsys):
     assert err["error"] == "FileNotFoundError"
 
 
+def test_tune_full_metric_below_p_rows_names_the_cause(tmp_path, capsys):
+    # at n < p every full-metric fit of the scan fails at its first step
+    data, _ = gen_mixture(SimConfig(n=50, p=100, k=5, nu=10, pi=0.15, c=4, seed=1))
+    path = tmp_path / "wide.csv"
+    write_csv(path, data.X.tolist(), [f"v{j}" for j in range(100)])
+    rc = main(["tune", str(path), "--full-mahalanobis", "--out-dir", str(tmp_path)])
+    assert rc == 1
+    (line,) = capsys.readouterr().err.splitlines()
+    assert json.loads(line) == {
+        "error": "GridNotFound",
+        "message": "AR never reached 0.2 on the scan range [5, 5000]; every scan fit "
+                   "failed, at a = 5000 with SingularScatter: fewer than 100 observations "
+                   "active (iteration 1), 50 of 50 active",
+    }
+    assert not (tmp_path / "tuning.json").exists()
+
+
 def test_cli_out_dir_failure_is_structured_json(tmp_path, capsys):
     src = tmp_path / "data.csv"
     write_gaussian_csv(src, n=50, p=3, seed=11)
@@ -482,3 +499,15 @@ def test_readme_cli_section_names_every_option():
     named = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", section))
     assert named - parsed == set()
     assert parsed - named == set()
+
+
+def test_readme_library_example_runs():
+    # README's one python block, on a seeded mixture as its X
+    readme = (ROOT / "README.md").read_text()
+    (block,) = re.findall(r"```python\n(.*?)```", readme, flags=re.S)
+    X = gen_mixture(SimConfig(n=500, p=10, k=3, nu=10, pi=0.1, c=4, seed=1))[0].X
+    scope = {"X": X}
+    exec(block, scope)
+    assert scope["model"].eigenvectors.shape == (10, 3)
+    assert scope["best"].a == scope["sel"].a_star
+    assert 0 < scope["outliers"].sum() < 500

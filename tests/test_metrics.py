@@ -508,6 +508,26 @@ def test_unit_scale_search_failure_has_a_type(monkeypatch):
         unit_scale_fit(ref, spec=SPEC, opts=IF_OPTS)
 
 
+def test_unit_scale_search_steps_toward_the_root_after_a_tie(monkeypatch):
+    # a unit-slope family, |V(a)|^(1/p) = a / e^0.7, whose second fit repeats
+    # the first's scatter: after that tie the step follows the sign of g,
+    # from log a = 0.7 downwards, and the secant then lands at the root
+    ref = gaussian_reference(2, np.diag([2.0, 0.5]), n=500)
+    visited = []
+
+    def fake_fit(data, a, init=None, spec=SPEC, opts=IF_OPTS):
+        visited.append(math.log(a))
+        scale = math.exp(visited[0 if len(visited) == 2 else -1] - 0.7)
+        ls = LocationScatter(np.zeros(data.p), scale * np.eye(data.p))
+        return FitResult(ls=ls, a=a, active_mask=np.ones(data.n, dtype=bool),
+                         active_ratio=1.0, iterations=1, converged=True, residual=0.0)
+
+    monkeypatch.setattr(metrics, "fit_sppca", fake_fit)
+    fit = unit_scale_fit(ref, spec=SPEC, opts=IF_OPTS, a_hint=math.exp(3.0))
+    assert visited[:3] == pytest.approx([3.0, 0.7, -1.6], abs=1e-12)
+    assert math.log(fit.a) == pytest.approx(0.7, abs=1e-6)
+
+
 def test_collapsed_scatter_in_unit_scale_search_has_a_type(monkeypatch):
     # an indefinite scatter passes the diagonal-metric check but has no log det
     ref = gaussian_reference(2, np.diag([2.0, 0.5]), n=500)

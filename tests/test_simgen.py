@@ -168,6 +168,11 @@ def test_separable_mixture_is_separated():
                   np.linalg.solve(truth.V_0, data.X[truth.labels].T).T)
     d_bulk = cfg.p * scipy.stats.f.ppf(0.999, cfg.p, cfg.nu)
     assert d.min() >= 2.25 * d_bulk - 1e-6
+    # the centre sits at norm c sqrt(p) along V_0's smallest-eigenvalue direction
+    norm_mu = np.linalg.norm(truth.mu_out)
+    assert norm_mu == pytest.approx(cfg.c * np.sqrt(cfg.p), rel=1e-12)
+    _, vecs = np.linalg.eigh(truth.V_0)
+    assert abs(abs(vecs[:, 0] @ truth.mu_out) / norm_mu - 1.0) <= 1e-12
 
 
 # ------------------------------------------------------------- experiments

@@ -114,6 +114,17 @@ def test_build_grid_ell_above_top_ar():
         build_grid(DataSet(X), ell=0.7, m=10)
 
 
+def test_build_grid_names_the_cause_when_every_scan_fit_fails():
+    # at n < p every full-metric fit of the scan fails at its first step
+    data, _ = gen_mixture(SimConfig(n=50, p=100, k=5, nu=10, pi=0.15, c=4, seed=1))
+    data = DataSet((data.X - data.X.mean(axis=0)) / data.X.std(axis=0, ddof=1))
+    with pytest.raises(GridNotFound) as info:
+        build_grid(data, opts=FitOptions(diag_approx=False))
+    assert str(info.value) == ("AR never reached 0.2 on the scan range [5, 5000]; every scan "
+                               "fit failed, at a = 5000 with SingularScatter: fewer than 100 "
+                               "observations active (iteration 1), 50 of 50 active")
+
+
 def test_build_grid_ends_at_top_scan_ar():
     # one far outlier in 1001 rows keeps AR at 1000/1001, within 0.005 of 1:
     # the grid ends where the scan's highest AR is first reached
