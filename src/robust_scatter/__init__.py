@@ -14,7 +14,6 @@ from .errors import (
     DegenerateStep,
     EmptyActiveSet,
     EmptyData,
-    GridNotFound,
     OracleFailure,
     RobustScatterError,
     SingularScatter,

@@ -3,8 +3,8 @@ JSON/CSV artifacts out.
 
 Subcommands
 
-    tune       locate the scale grid, trace the active-ratio curve, and
-               select the working scale; emits ar_curve.json + tuning.json
+    tune       trace the active-ratio curve over the scale grid and select
+               the working scale; emits ar_curve.json + tuning.json
     fit        fit at a given (or previously tuned) scale and emit the
                eigenmodel, per-row scores, and per-row weights
     simulate   run the replicate experiment over a config grid; emits
@@ -120,7 +120,7 @@ def _spec_opts(args):
 def cmd_tune(args) -> list[str]:
     data = load_csv(args.input, standardize=not args.no_standardize)
     spec, opts = _spec_opts(args)
-    grid = build_grid(data, ell=args.ell, m=args.grid_size, spec=spec, opts=opts)
+    grid = build_grid(data.p, m=args.grid_size)
     path = solution_set(data, grid, spec=spec, opts=opts)
     curve = smooth_curve(path)
     result = select_a_star(curve)
@@ -240,7 +240,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("tune", help="select the working scale from the AR curve")
     _add_common(sp)
-    sp.add_argument("--ell", type=float, default=0.2, help="lower AR bound of the grid")
     sp.add_argument("--grid-size", type=int, default=50, help="grid points (default 50)")
 
     sp = sub.add_parser("fit", help="fit at a scale and emit the eigenmodel")

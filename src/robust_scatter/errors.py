@@ -30,10 +30,6 @@ class DegenerateScale(RobustScatterError):
     """A column has (numerically) zero robust scale."""
 
 
-class GridNotFound(RobustScatterError):
-    """The active-ratio scan could not bracket the requested grid endpoints."""
-
-
 class DegenerateSpectrum(RobustScatterError):
     """Eigenvalues are too close for the requested eigen-quantity."""
 

@@ -12,10 +12,10 @@ signal eigenvalues scaled up with the aspect ratio p/n.
 returns subspace-similarity summaries per configuration and method.
 
 A replicate takes the top-k eigenvectors of the scatters it scores (its
-whole path for ``sppca_opt``, else the tuned fit's) from one stacked
-``numpy.linalg.eigh`` call and scores them in one ``similarity_rho``
-call.  The F quantile of ``gen_separable_mixture`` comes from
-``scipy.special``, imported inside that function, so importing the
+whole path for ``sppca_opt``, else the tuned fit's, none for ``tme``
+alone) from one stacked ``numpy.linalg.eigh`` call and scores them in one
+``similarity_rho`` call.  The F quantile of ``gen_separable_mixture`` comes
+from ``scipy.special``, imported inside that function, so importing the
 package (every CLI command does) loads no ``scipy``.
 """
 
@@ -29,7 +29,7 @@ import numpy as np
 from .errors import RobustScatterError
 from .estimator import DataSet, FitOptions, fit_tme, pca, solution_set, top_eigenpairs
 from .metrics import similarity_rho
-from .tuning import select_a_star, smooth_curve
+from .tuning import build_grid, select_a_star, smooth_curve
 from .weights import WeightSpec
 
 METHODS = ("sppca_astar", "sppca_opt", "tme")
@@ -214,16 +214,11 @@ def replicate_seed(seed: int, rep: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def _default_grid(p: int) -> np.ndarray:
-    """The simulator's fixed scale grid: 50 points over [0.2 p, 3 p]."""
-    return np.linspace(0.2 * p, 3.0 * p, 50)
-
-
 def _one_replicate(cfg, rep, methods, spec, opts):
     """Similarities for all requested methods on one seeded draw."""
     data, truth = gen_mixture(replace(cfg, seed=replicate_seed(cfg.seed, rep)))
     out: dict[str, float | None] = {}
-    path = solution_set(data, _default_grid(cfg.p), spec=spec, opts=opts)
+    path = solution_set(data, build_grid(cfg.p), spec=spec, opts=opts)
     try:
         curve = smooth_curve(path)
     except RobustScatterError:  # fewer than 4 usable fits
@@ -231,17 +226,17 @@ def _one_replicate(cfg, rep, methods, spec, opts):
     sel = select_a_star(curve)
     astar_fit = next(f for f in path if f.a == sel.a_star)
 
-    # only sppca_opt scores the whole path; its scatters are formed
-    # together, before the eigendecompositions: interleaving is slower
-    scored = [f for f in path if f.error is None] if "sppca_opt" in methods else [astar_fit]
-    _, vecs = top_eigenpairs(np.stack([f.ls.V for f in scored]), cfg.k)
-    rho = similarity_rho(vecs, truth.Gamma_k)
-    rhos = dict(zip((f.a for f in scored), rho.tolist()))
-
-    if "sppca_astar" in methods:
-        out["sppca_astar"] = rhos[sel.a_star]
-    if "sppca_opt" in methods:
-        out["sppca_opt"] = max(rhos.values())
+    if "sppca_astar" in methods or "sppca_opt" in methods:
+        # only sppca_opt scores the whole path; its scatters are formed
+        # together, before the eigendecompositions: interleaving is slower
+        scored = [f for f in path if f.error is None] if "sppca_opt" in methods else [astar_fit]
+        _, vecs = top_eigenpairs(np.stack([f.ls.V for f in scored]), cfg.k)
+        rho = similarity_rho(vecs, truth.Gamma_k)
+        rhos = dict(zip((f.a for f in scored), rho.tolist()))
+        if "sppca_astar" in methods:
+            out["sppca_astar"] = rhos[sel.a_star]
+        if "sppca_opt" in methods:
+            out["sppca_opt"] = max(rhos.values())
     if "tme" in methods:
         try:
             with warnings.catch_warnings():

@@ -1,24 +1,21 @@
 """Active-ratio curve construction and data-adaptive scale selection.
 
 The active ratio AR(a) is the weighted fraction of observations left inside
-the trimming ball of the fit initialized at scale ``a``.  Scanned over a
-geometric grid of scales it traces an increasing curve whose slope in log a
-dips where the main data cloud has been absorbed but a secondary
-(contaminating) cloud has not yet entered; the selector returns the first
-strict local minimum of that slope at which the smoothed AR is at least 1/2,
-read from a cubic smoothing-spline fit of the curve in log a.  The spline is
-evaluated in closed form from its knot operators Q and R, which also give
-the penalty eigensystem on which generalized cross-validation chooses its
-penalty; constants and lines, the penalty's null space, pass unshrunk.
+the trimming ball of the fit initialized at scale ``a``.  Traced over the
+scale grid it is an increasing curve whose slope in log a dips where the
+main data cloud has been absorbed but a secondary (contaminating) cloud has
+not yet entered; the selector returns the first strict local minimum of
+that slope at which the smoothed AR is at least 1/2, read from a cubic
+smoothing-spline fit of the curve in log a.  The spline is evaluated in
+closed form from its knot operators Q and R, which also give the penalty
+eigensystem on which generalized cross-validation chooses its penalty;
+constants and lines, the penalty's null space, pass unshrunk.
 
-Tuning is three calls, the same for the CLI and library use:
+Tuning is three calls, the same for the CLI, the simulator and library use:
 
-    path = solution_set(data, build_grid(data))   # one fit per scale
-    curve = smooth_curve(path)                    # ARCurve of the usable fits
-    sel = select_a_star(curve)                    # TuningResult
-
-The simulator makes the last two on its fixed grid (``simgen._default_grid``),
-at about 0.4 s per 40 ``benchmark`` replicates against 1.4 s with ``build_grid``.
+    path = solution_set(data, build_grid(data.p))  # one fit per scale
+    curve = smooth_curve(path)                     # ARCurve of the usable fits
+    sel = select_a_star(curve)                     # TuningResult
 """
 
 from __future__ import annotations
@@ -28,19 +25,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GridNotFound, RobustScatterError
-from .estimator import DataSet, FitOptions, FitResult, solution_set
+from .errors import RobustScatterError
+from .estimator import FitResult
 # unused here, but perfbench/spans.py CALL_SITES patches both names on this module
 from .estimator import fit_sppca, initial_estimate  # noqa: F401
-from .weights import WeightSpec
-
-# scan range for grid-endpoint location, in units of p
-_SCAN_LO = 0.05
-_SCAN_HI = 50.0
-_SCAN_POINTS = 25
-# the grid ends at the scan's highest AR, which must be at least 1 - delta: a
-# few far points that no scale on the scan absorbs do not stop tuning
-_TOP_AR_DELTA = 0.005
 
 
 @dataclass(frozen=True)
@@ -78,50 +66,17 @@ class TuningResult:
     ar_at_a_star: float
 
 
-def build_grid(
-    data: DataSet,
-    ell: float = 0.2,
-    m: int = 50,
-    spec: WeightSpec = WeightSpec(),
-    opts: FitOptions = FitOptions(),
-):
-    """Geometric scale grid between two points of a coarse scan, from just
-    below AR ``ell`` to the scan's highest AR.
+def build_grid(p: int, m: int = 50) -> np.ndarray:
+    """The package's one scale grid: ``m`` linearly spaced scales over
+    [0.2 p, 3 p], for ``tune`` and the simulator alike.
 
-    A coarse geometric scan over [0.05 p, 50 p] gives AR at 25 scales: it
-    is one ``solution_set`` path, on which a failed fit has AR 0.  Its
-    highest value, top, is 1 on data without far outliers.  The grid's ends
-    are scan points: a_min is the one before the first with AR >= ell (the
-    first scan point if that one already reaches ell), and a_max is the
-    first with AR >= top.  ``m`` geometrically spaced scales on
-    [a_min, a_max] are returned, whatever n.  Raises GridNotFound when the
-    scan never reaches ``ell``, quoting the error of its largest scale when
-    every scan fit failed, or when top is below 1 - 0.005.
+    Its span is a factor of 15, so the smoother's 8 degrees of freedom
+    still resolve the slope dip at the clean change point; a grid spanning
+    two decades and more smooths that dip away.
     """
-    if not 0.0 < ell < 1.0:
-        raise ValueError("ell must be in (0, 1)")
     if m < 2:
         raise ValueError("m must be at least 2")
-    p = data.p
-    scan = np.geomspace(_SCAN_LO * p, _SCAN_HI * p, _SCAN_POINTS)
-    path = solution_set(data, scan, spec=spec, opts=opts)
-    ars = np.array([f.active_ratio for f in path])
-
-    reached = np.flatnonzero(ars >= ell)
-    if reached.size == 0:
-        cause = (f"; every scan fit failed, at a = {scan[-1]:g} with {path[-1].error}"
-                 if all(f.error for f in path) else "")
-        raise GridNotFound(f"AR never reached {ell} on the scan range "
-                           f"[{scan[0]:g}, {scan[-1]:g}]{cause}")
-    top = min(ars.max(), 1.0 - 1e-12)
-    if top < 1.0 - _TOP_AR_DELTA:
-        raise GridNotFound(f"AR never reached {1.0 - _TOP_AR_DELTA:g} on the scan range "
-                           f"[{scan[0]:g}, {scan[-1]:g}]; its highest value is {top:g}")
-    a_min = scan[max(reached[0] - 1, 0)]
-    a_max = scan[np.argmax(ars >= top)]
-    if not a_max > a_min:
-        raise GridNotFound(f"degenerate grid range [{a_min:g}, {a_max:g}]")
-    return np.geomspace(a_min, a_max, m)
+    return np.linspace(0.2 * p, 3.0 * p, m)
 
 
 MAX_SMOOTHER_DOF = 8
@@ -184,11 +139,15 @@ def smooth_curve(path: Sequence[FitResult]) -> ARCurve:
     bound admits only them (lam = inf), the least-squares line.  The curve
     holds the grid a, the fitted values (clipped into [0, 1]) and the
     spline's first derivative dAR/d log a at the knots.  Raises
-    RobustScatterError when fewer than 4 fits are usable.
+    RobustScatterError when fewer than 4 fits are usable, quoting the error
+    of the largest failed fit.
     """
     fits = [f for f in path if f.error is None]
     if len(fits) < 4:
-        raise RobustScatterError("fewer than 4 usable fits on the tuning grid")
+        failed = [f for f in path if f.error is not None]
+        cause = (f"; the largest failed fit, at a = {failed[-1].a:g}, ended in {failed[-1].error}"
+                 if failed else "")
+        raise RobustScatterError(f"fewer than 4 usable fits on the tuning grid{cause}")
     a = np.array([f.a for f in fits], dtype=float)
     y = np.array([f.active_ratio for f in fits], dtype=float)
     x = np.log(a)

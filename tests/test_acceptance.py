@@ -282,7 +282,7 @@ def test_c7_change_point_recovery():
     for rep in range(20):
         cfg = SimConfig(n=250, p=20, k=5, nu=10.0, pi=0.2, c=4.0, seed=1000 + rep)
         data, _ = gen_separable_mixture(cfg)
-        grid = build_grid(data, ell=0.2, m=50, spec=SPEC)
+        grid = build_grid(data.p)
         path = solution_set(data, grid, spec=SPEC)
         curve = smooth_curve(path)
         ars.append(select_a_star(curve).ar_at_a_star)

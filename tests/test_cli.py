@@ -346,7 +346,7 @@ def test_cli_error_is_structured_json(tmp_path, capsys):
 
 
 def test_tune_full_metric_below_p_rows_names_the_cause(tmp_path, capsys):
-    # at n < p every full-metric fit of the scan fails at its first step
+    # at n < p every full-metric fit of the grid fails at its first step
     data, _ = gen_mixture(SimConfig(n=50, p=100, k=5, nu=10, pi=0.15, c=4, seed=1))
     path = tmp_path / "wide.csv"
     write_csv(path, data.X.tolist(), [f"v{j}" for j in range(100)])
@@ -354,12 +354,24 @@ def test_tune_full_metric_below_p_rows_names_the_cause(tmp_path, capsys):
     assert rc == 1
     (line,) = capsys.readouterr().err.splitlines()
     assert json.loads(line) == {
-        "error": "GridNotFound",
-        "message": "AR never reached 0.2 on the scan range [5, 5000]; every scan fit "
-                   "failed, at a = 5000 with SingularScatter: fewer than 100 observations "
-                   "active (iteration 1), 50 of 50 active",
+        "error": "RobustScatterError",
+        "message": "fewer than 4 usable fits on the tuning grid; the largest failed fit, at "
+                   "a = 300, ended in SingularScatter: fewer than 100 observations active "
+                   "(iteration 1), 50 of 50 active",
     }
     assert not (tmp_path / "tuning.json").exists()
+
+
+def test_tune_with_one_far_row(tmp_path):
+    # one row far beyond every scale of the grid keeps AR at 99/100: tune
+    # still selects a scale
+    X = np.vstack([np.random.default_rng(0).standard_normal((99, 3)), np.full((1, 3), 1e6)])
+    src = tmp_path / "far.csv"
+    write_csv(src, X.tolist(), ["x1", "x2", "x3"])
+    out = tmp_path / "out"
+    assert main(["tune", str(src), "--out-dir", str(out)]) == 0
+    tuning = json.loads((out / "tuning.json").read_text())
+    assert tuning["ar_at_a_star"] == 0.99
 
 
 def test_cli_out_dir_failure_is_structured_json(tmp_path, capsys):

@@ -559,6 +559,17 @@ def test_solution_set_records_failures(rng):
     assert failed.error == f"SingularScatter: {info.value}"
 
 
+def test_solution_set_propagates_unexpected_errors(rng, monkeypatch):
+    # only the package's fit failures are recorded on the path: a bug
+    # surfaces, it is not AR = 0
+    def broken_weight(*args, **kwargs):
+        raise TypeError("not a fit failure")
+
+    monkeypatch.setattr("robust_scatter.estimator.weight", broken_weight)
+    with pytest.raises(TypeError, match="not a fit failure"):
+        solution_set(DataSet(gaussian_data(50, 2, rng=rng)), build_grid(2, m=10))
+
+
 @pytest.mark.parametrize("diag_approx", [True, False], ids=["diag", "full"])
 def test_failed_path_entry_has_no_state(rng, diag_approx):
     # a start a * tau^2 that underflows to 0 is a fit that fails at its
@@ -687,7 +698,7 @@ def test_diag_fit_forms_its_scatter_on_first_read(rng, monkeypatch):
 
     monkeypatch.setattr("robust_scatter.estimator._diag_scatter", counting)
     data = DataSet(gaussian_data(300, 5, V=np.diag([5.0, 4.0, 3.0, 2.0, 1.0]), rng=rng))
-    path = solution_set(data, build_grid(data))
+    path = solution_set(data, build_grid(data.p))
     select_a_star(smooth_curve(path))
     assert formed == []
     fit = path[-1]

@@ -10,6 +10,7 @@ from robust_scatter import (
     FitOptions,
     SimConfig,
     SingularScatter,
+    build_grid,
     gen_eigenvalues,
     gen_mixture,
     gen_separable_mixture,
@@ -188,7 +189,7 @@ def test_replicate_seed_is_stable():
 def test_replicate_batch_eigenvectors_match_pca(n, p, k):
     # a replicate decomposes its path's scatters as one stack
     data, _ = gen_mixture(SimConfig(n=n, p=p, k=k, nu=10.0, pi=0.15, c=4.0, seed=p))
-    path = [f for f in solution_set(data, simgen._default_grid(p)) if f.error is None]
+    path = [f for f in solution_set(data, build_grid(p)) if f.error is None]
     assert len(path) >= 10
     _, batch = top_eigenpairs(np.stack([f.ls.V for f in path]), k)
     assert batch.shape == (len(path), p, k)
@@ -216,9 +217,11 @@ def test_run_experiment_deterministic():
 
 def test_run_experiment_decomposes_only_what_its_methods_score(monkeypatch):
     # without sppca_opt a replicate decomposes the tuned fit's scatter
-    # alone, and its values are those of the all-methods run, bit for bit
+    # alone, and with tme alone none; its values are those of the
+    # all-methods run, bit for bit
     cfg = SimConfig(n=120, p=6, k=2, nu=10.0, pi=0.1, c=4.0, seed=9)
     full = run_experiment(cfg, replicates=3)
+    rho = {(r["rep"], r["method"]): r["rho"] for r in full.replicates}
     sizes = []
 
     def recording(stack, k):
@@ -226,12 +229,13 @@ def test_run_experiment_decomposes_only_what_its_methods_score(monkeypatch):
         return top_eigenpairs(stack, k)
 
     monkeypatch.setattr(simgen, "top_eigenpairs", recording)
-    subset = run_experiment(cfg, methods=("sppca_astar", "tme"), replicates=3)
-    assert sizes == [1, 1, 1]
-    rho = {(r["rep"], r["method"]): r["rho"] for r in full.replicates}
-    assert all(r["rho"] is not None for r in subset.replicates)
-    assert [r["rho"] for r in subset.replicates] == [
-        rho[r["rep"], r["method"]] for r in subset.replicates]
+    for methods, expected in ((("sppca_astar", "tme"), [1, 1, 1]), (("tme",), [])):
+        sizes.clear()
+        subset = run_experiment(cfg, methods=methods, replicates=3)
+        assert sizes == expected
+        assert all(r["rho"] is not None for r in subset.replicates)
+        assert [r["rho"] for r in subset.replicates] == [
+            rho[r["rep"], r["method"]] for r in subset.replicates]
 
 
 def test_run_experiment_oracle_dominates_tuned():
@@ -274,7 +278,7 @@ def test_run_experiment_rejects_unknown_method():
 
 def test_run_experiment_too_few_usable_fits_fails_every_method(monkeypatch):
     # three of the six scales trim every observation: no curve, no method
-    monkeypatch.setattr(simgen, "_default_grid",
+    monkeypatch.setattr(simgen, "build_grid",
                         lambda p: np.array([0.001, 0.002, 0.003, 5.0, 6.0, 7.0]))
     cfg = SimConfig(n=100, p=5, k=2, nu=10.0, pi=0.0, c=1.0, seed=1)
     table = run_experiment(cfg, replicates=1)

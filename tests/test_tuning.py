@@ -6,7 +6,6 @@ from robust_scatter import (
     DataSet,
     FitOptions,
     FitResult,
-    GridNotFound,
     LocationScatter,
     RobustScatterError,
     SimConfig,
@@ -66,93 +65,16 @@ def test_active_ratio_matches_mask(rng):
 # ---------------------------------------------------------------- build_grid
 
 
-def check_grid_ends(data, grid, ell):
-    """The grid is geometric and its ends are points of build_grid's scan:
-    the one before the first with AR >= ell (or the first), and the first
-    at the scan's top AR."""
-    scan = np.geomspace(0.05 * data.p, 50.0 * data.p, 25)
-    ars = np.array([f.active_ratio for f in solution_set(data, scan)])
-    assert np.all(np.diff(grid) > 0)
-    assert np.ptp(np.diff(np.log(grid))) < 1e-12
-    lo = np.flatnonzero(ars >= ell)[0]
-    assert grid[0] == scan[max(lo - 1, 0)]
-    assert lo == 0 or ars[lo - 1] < ell
-    assert grid[-1] == scan[np.argmax(ars == ars.max())]
+def test_build_grid_structure():
+    # the one grid of tune and the simulator: m linear scales over [0.2 p, 3 p]
+    for p, m in ((3, 2), (5, 17), (50, 50), (100, 200)):
+        np.testing.assert_array_equal(build_grid(p, m), np.linspace(0.2 * p, 3.0 * p, m))
+    np.testing.assert_array_equal(build_grid(10), np.linspace(2.0, 30.0, 50))
 
 
-def test_build_grid_structure(rng):
-    X = gaussian_data(250, 10, rng=rng)
-    data = DataSet(X)
-    grid = build_grid(data, ell=0.2, m=50)
-    assert grid.size == 50
-    check_grid_ends(data, grid, 0.2)
-    assert fit_sppca(data, grid[-1]).active_ratio == 1.0
-
-
-def test_build_grid_default_m(rng):
-    # 50 scales whatever n
-    X = gaussian_data(2000, 3, rng=rng)
-    for n in (30, 250, 2000):
-        assert build_grid(DataSet(X[:n])).size == 50
-
-
-def test_build_grid_not_found():
-    # a lone far outlier keeps AR below 1 across the entire scan range
-    rng = np.random.default_rng(0)
-    X = rng.standard_normal((100, 2))
-    X[0] = 1e9
-    with pytest.raises(GridNotFound):
-        build_grid(DataSet(X), ell=0.2, m=10)
-
-
-def test_build_grid_ell_above_top_ar():
-    # 40 of 100 rows lie far out, so no scale on the scan reaches AR 0.7
-    rng = np.random.default_rng(0)
-    X = rng.standard_normal((100, 2))
-    X[60:] += 1e6
-    with pytest.raises(GridNotFound, match=r"AR never reached 0.7 on the scan range"):
-        build_grid(DataSet(X), ell=0.7, m=10)
-
-
-def test_build_grid_names_the_cause_when_every_scan_fit_fails():
-    # at n < p every full-metric fit of the scan fails at its first step
-    data, _ = gen_mixture(SimConfig(n=50, p=100, k=5, nu=10, pi=0.15, c=4, seed=1))
-    data = DataSet((data.X - data.X.mean(axis=0)) / data.X.std(axis=0, ddof=1))
-    with pytest.raises(GridNotFound) as info:
-        build_grid(data, opts=FitOptions(diag_approx=False))
-    assert str(info.value) == ("AR never reached 0.2 on the scan range [5, 5000]; every scan "
-                               "fit failed, at a = 5000 with SingularScatter: fewer than 100 "
-                               "observations active (iteration 1), 50 of 50 active")
-
-
-def test_build_grid_ends_at_top_scan_ar():
-    # one far outlier in 1001 rows keeps AR at 1000/1001, within 0.005 of 1:
-    # the grid ends where the scan's highest AR is first reached
-    rng = np.random.default_rng(0)
-    X = np.vstack([rng.standard_normal((1000, 2)), np.full((1, 2), 1e9)])
-    data = DataSet(X)
-    grid = build_grid(data, ell=0.2, m=10)
-    assert grid.size == 10
-    check_grid_ends(data, grid, 0.2)
-    assert fit_sppca(data, grid[-1]).active_ratio == pytest.approx(1000 / 1001)
-
-
-def test_build_grid_scan_propagates_unexpected_errors(rng, monkeypatch):
-    # the scan is a solution path: a bug in it surfaces too, it is not AR = 0
-    def broken_weight(*args, **kwargs):
-        raise TypeError("not a fit failure")
-
-    monkeypatch.setattr("robust_scatter.estimator.weight", broken_weight)
-    with pytest.raises(TypeError, match="not a fit failure"):
-        build_grid(DataSet(gaussian_data(50, 2, rng=rng)), m=10)
-
-
-def test_build_grid_validates_args(rng):
-    data = DataSet(gaussian_data(50, 2, rng=rng))
+def test_build_grid_validates_args():
     with pytest.raises(ValueError):
-        build_grid(data, ell=1.2)
-    with pytest.raises(ValueError):
-        build_grid(data, m=1)
+        build_grid(2, m=1)
 
 
 # -------------------------------------------------------------- smooth_curve
@@ -191,6 +113,20 @@ def test_smooth_requires_four_points(rng):
     assert all(f.error.startswith("EmptyActiveSet") for f in path[:2])
     with pytest.raises(RobustScatterError, match="fewer than 4 usable fits"):
         smooth_curve(path)
+
+
+def test_smooth_curve_names_the_cause_when_every_fit_fails():
+    # at n < p every full-metric fit fails at its first step: the error
+    # quotes the failure at the grid's largest scale
+    data, _ = gen_mixture(SimConfig(n=50, p=100, k=5, nu=10, pi=0.15, c=4, seed=1))
+    data = DataSet((data.X - data.X.mean(axis=0)) / data.X.std(axis=0, ddof=1))
+    path = solution_set(data, build_grid(data.p), opts=FitOptions(diag_approx=False))
+    assert all(f.error is not None for f in path)
+    with pytest.raises(RobustScatterError) as info:
+        smooth_curve(path)
+    assert str(info.value) == ("fewer than 4 usable fits on the tuning grid; the largest "
+                               "failed fit, at a = 300, ended in SingularScatter: fewer than "
+                               "100 observations active (iteration 1), 50 of 50 active")
 
 
 def test_smooth_four_points_is_line():
@@ -290,7 +226,7 @@ def reference_input(kind, rng):
         y = 0.85 / (1.0 + (20.0 / x) ** 3) + 0.15 / (1.0 + (150.0 / x) ** 4)
         return make_path(x, np.round(y * 200) / 200)  # AR of 200 equal weights
     data, _ = gen_mixture(SimConfig(n=250, p=10, k=2, nu=10, pi=0.15, c=4, seed=7))
-    return solution_set(data, build_grid(data))
+    return solution_set(data, build_grid(data.p))
 
 
 @pytest.mark.parametrize("kind", ["sigmoid", "geomspace", "mixture_path"])
@@ -406,7 +342,7 @@ def test_tuned_scale_beats_full_absorption_on_separable_data():
     for rep in range(20):
         cfg = SimConfig(n=250, p=10, k=3, nu=10.0, pi=0.2, c=4.0, seed=4200 + rep)
         data, truth = gen_separable_mixture(cfg)
-        path = solution_set(data, build_grid(data, ell=0.2, m=50))
+        path = solution_set(data, build_grid(data.p))
         curve = smooth_curve(path)
         sel = select_a_star(curve)
         star = next(f for f in path if f.a == sel.a_star)
@@ -420,8 +356,9 @@ def test_tuned_scale_beats_full_absorption_on_separable_data():
 def test_tuned_ar_matches_clean_fraction_at_every_n(n):
     # the CLI's tuning path on standardized mixture samples: the tuned AR
     # must sit at the clean fraction, and the tuned subspace must be close
-    # to the best one on the path, at every n (a linear grid of n/5 scales
-    # picked the absorbed secondary cloud in 6 of 6 seeds at n = 2000)
+    # to the best one on the path, at every n (the grid has 50 scales
+    # whatever n: a linear grid of n/5 scales picked the absorbed secondary
+    # cloud in 6 of 6 seeds at n = 2000)
     from robust_scatter import pca, similarity_rho
 
     gaps, losses = [], []
@@ -430,7 +367,7 @@ def test_tuned_ar_matches_clean_fraction_at_every_n(n):
         raw, truth = gen_mixture(cfg)
         X = raw.X - raw.X.mean(axis=0)
         data = DataSet(X / X.std(axis=0, ddof=1))  # as cli.load_csv standardizes
-        path = solution_set(data, build_grid(data))
+        path = solution_set(data, build_grid(data.p))
         sel = select_a_star(smooth_curve(path))
         rho = {f.a: similarity_rho(pca(f.ls, cfg.k).eigenvectors, truth.Gamma_k)
                for f in path if f.error is None}
@@ -438,6 +375,33 @@ def test_tuned_ar_matches_clean_fraction_at_every_n(n):
         losses.append(max(rho.values()) - rho[sel.a_star])
     assert sum(g <= 0.03 for g in gaps) >= 5, gaps
     assert max(losses) <= 0.02, losses
+
+
+@pytest.mark.parametrize("n, p, k, pi, c", [
+    (1000, 50, 5, 0.45, 4.0), (1000, 50, 5, 0.15, 2.5), (3000, 5, 2, 0.15, 4.0)])
+def test_tuned_subspace_is_near_the_best_on_the_path(n, p, k, pi, c):
+    # the CLI's tuning path on standardized mixture samples where a grid
+    # spanning two decades and more smoothed the clean change point away:
+    # the tuned subspace stays within 0.03 of the best one on the path.
+    # Each scatter is scaled back to the raw columns, where Gamma_k is the
+    # clean cloud's eigenbasis
+    from robust_scatter import pca, similarity_rho
+    from robust_scatter.simgen import replicate_seed
+
+    losses = []
+    for rep in range(12):
+        cfg = SimConfig(n=n, p=p, k=k, nu=10.0, pi=pi, c=c, seed=replicate_seed(1, rep))
+        raw, truth = gen_mixture(cfg)
+        X = raw.X - raw.X.mean(axis=0)
+        sd = X.std(axis=0, ddof=1)
+        data = DataSet(X / sd)  # as cli.load_csv standardizes
+        path = solution_set(data, build_grid(data.p))
+        sel = select_a_star(smooth_curve(path))
+        rho = {f.a: similarity_rho(pca(LocationScatter(f.ls.mu * sd, f.ls.V * np.outer(sd, sd)),
+                                       k).eigenvectors, truth.Gamma_k)
+               for f in path if f.error is None}
+        losses.append(max(rho.values()) - rho[sel.a_star])
+    assert max(losses) <= 0.03, losses
 
 
 def test_tuned_ar_tracks_contamination_level():
