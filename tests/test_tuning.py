@@ -69,6 +69,12 @@ def test_build_grid_structure():
     # the one grid of tune and the simulator: m linear scales over [0.2 p, 3 p]
     for p, m in ((3, 2), (5, 17), (50, 50), (100, 200)):
         np.testing.assert_array_equal(build_grid(p, m), np.linspace(0.2 * p, 3.0 * p, m))
+
+
+def test_build_grid_default_m():
+    # 50 scales whatever p
+    for p in (2, 10, 100):
+        assert build_grid(p).size == 50
     np.testing.assert_array_equal(build_grid(10), np.linspace(2.0, 30.0, 50))
 
 
