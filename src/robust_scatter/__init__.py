@@ -32,7 +32,6 @@ from .estimator import (
     mahalanobis,
     pca,
     solution_set,
-    tau_scale,
 )
 from .metrics import (
     AsymptoticConstants,

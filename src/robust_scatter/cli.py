@@ -149,7 +149,10 @@ def cmd_fit_pca(args) -> list[str]:
         a = args.a
     elif args.tuning is not None:
         with open(args.tuning) as fh:
-            a = float(json.load(fh)["a_star"])
+            tuning = json.load(fh)
+        a = tuning.get("a_star") if isinstance(tuning, dict) else None
+        if isinstance(a, bool) or not isinstance(a, (int, float)):
+            raise ValueError(f"{args.tuning}: a_star must be a number")
     else:
         raise RobustScatterError("supply --a or --tuning with a prior tuning.json")
     k = args.k if args.k is not None else min(data.p, 2)
@@ -169,6 +172,10 @@ def cmd_fit_pca(args) -> list[str]:
         "eigenvectors": model.eigenvectors.tolist(),
         "a": float(a),
         "alpha": float(args.alpha),
+        "converged": bool(fit.converged),
+        "iterations": int(fit.iterations),
+        "residual": float(fit.residual),
+        "active_ratio": float(fit.active_ratio),
     })
     _write_csv(out_scores, [f"PC{j + 1}" for j in range(k)], scores.tolist())
     _write_csv(out_weights, ["index", "weight", "active"],

@@ -279,18 +279,21 @@ def mahalanobis(x, ls: LocationScatter) -> float:
     """Squared Mahalanobis distance of one point from ``ls``.
 
     Uses only the diagonal of V when ``ls.diag_approx`` is set; otherwise
-    goes through the full-metric kernel (``_full_distances``).
+    goes through the full-metric kernel (``_full_distances``).  Raises
+    ValueError for a point of the wrong dimension or with a non-finite entry.
     """
     x = np.asarray(x, dtype=float)
     if x.shape != ls.mu.shape:
         raise ValueError(f"dimension mismatch: x {x.shape}, mu {ls.mu.shape}")
+    if not np.isfinite(x).all():
+        raise ValueError("x must be finite")
     diff = (x - ls.mu)[None, :]
     return float(squared_distances(diff, ls.V, ls.diag_approx)[0])
 
 
 def in_ball(x, ls: LocationScatter, spec: WeightSpec = WeightSpec()) -> bool:
     """True iff ``x`` has positive weight at ``ls``: the trimming ball is
-    where ``weight(d(x, mu, V), spec) > 0`` (all of R^p for the unit kind).
+    where ``weight(d(x, mu, V), spec) > 0``.
     """
     return weight(mahalanobis(x, ls), spec) > 0.0
 
@@ -359,7 +362,7 @@ def fit_sppca(
     Parameters
     ----------
     data : DataSet
-    a : initialization scale, in squared-distance units (order O(p)).
+    a : initialization scale, positive and finite (squared-distance units).
     init : optional explicit initial state, read as its arrays (mu, V)
         under the metric ``opts`` names, whatever its own ``diag_approx``;
         by default the robust initial estimate scaled by ``a``.
@@ -377,8 +380,8 @@ def fit_sppca(
     SingularScatter with that step's count, so with n < p the fit fails at
     iteration 1.
     """
-    if a <= 0:
-        raise ValueError("a must be positive")
+    if not 0.0 < a < np.inf:
+        raise ValueError("a must be a positive finite number")
     if init is None:
         base = initial_estimate(data)
         mu0, V0 = base.mu, a * base.V
@@ -586,15 +589,15 @@ def solution_set(
     Failed fits (empty active set, degenerate step, singular scatter, a
     start no step can take) are recorded in place with ``converged=False``,
     ``ls`` None, the error message and the iteration at which the fit
-    failed, instead of aborting the path.  The scales must be positive and
-    strictly increasing; results are in grid order.
+    failed, instead of aborting the path.  The scales must be positive,
+    finite and strictly increasing; results are in grid order.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.size == 0:
         raise ValueError("grid must be nonempty")
-    bad = np.flatnonzero(~(grid > 0))
+    bad = np.flatnonzero(~((grid > 0) & (grid < np.inf)))
     if bad.size:
-        raise ValueError(f"grid scales must be positive, got {grid[bad[0]]:g}")
+        raise ValueError(f"grid scales must be positive and finite, got {grid[bad[0]]:g}")
     if np.any(np.diff(grid) <= 0):
         raise ValueError("grid must be strictly increasing")
     base = initial_estimate(data)  # raises before any fit on degenerate data
@@ -617,21 +620,6 @@ def _failed_fit(data, a, err) -> FitResult:
                    np.zeros(data.n, dtype=bool), f"{type(err).__name__}: {err}")
 
 
-def tau_scale(x: np.ndarray) -> float:
-    """Robust scale of a univariate sample, consistent for the Gaussian sd.
-
-    Truncated-standard-deviation construction: MAD as the auxiliary scale, a
-    bisquare-weighted location (tuning constant 4.5), then the square root of
-    the truncated second moment (tuning constant 3.0), divided by the
-    Gaussian consistency factor.  A sample whose MAD is below 1e-12 has
-    scale 0.  Raises ValueError for an empty sample or a non-finite entry.
-    """
-    x = np.asarray(x, dtype=float).reshape(1, -1)
-    if x.size == 0 or not np.all(np.isfinite(x)):
-        raise ValueError("the sample must be nonempty and finite")
-    return float(_tau_scales(x)[1][0])
-
-
 def _row_medians(A):
     """Medians of the rows of the finite 2-D array A, equal to
     ``np.median(A, axis=1)``, from one partition of a copy of A."""
@@ -645,8 +633,15 @@ def _row_medians(A):
 
 
 def _tau_scales(XT):
-    """Medians and tau-scales (``tau_scale``) of the rows of the finite
-    p x n array XT, computed together in one p x n work array."""
+    """Medians and tau-scales of the rows of the finite p x n array XT,
+    computed together in one p x n work array.
+
+    The tau-scale is a truncated standard deviation, consistent for the
+    Gaussian sd: MAD as the auxiliary scale, a bisquare-weighted location
+    (tuning constant 4.5), then the square root of the truncated second
+    moment (tuning constant 3.0), divided by the Gaussian consistency
+    factor.  A row whose MAD is below 1e-12 has scale 0.
+    """
     med = _row_medians(XT)
     A = XT - med[:, None]
     np.abs(A, out=A)

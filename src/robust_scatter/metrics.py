@@ -35,7 +35,7 @@ from .estimator import (
     mahalanobis,
     pca,
 )
-from .weights import UNIT, WeightSpec, weight
+from .weights import WeightSpec, weight
 
 GAUSSIAN = "gaussian"
 STUDENT_T = "student-t"
@@ -122,10 +122,6 @@ class RadialSpec:
     def dpsi_s(self, u):
         return self.sigma_s0 ** (-self.p / 2.0 - 1.0) * self.dpsi(np.asarray(u) / self.sigma_s0)
 
-    def normalization_integral(self) -> float:
-        """Total mass of the rescaled generator over R^p; should be 1."""
-        return radial_integral(self.psi_s, self.p)
-
 
 def _student_t_const(p, nu):
     return math.exp(
@@ -188,14 +184,15 @@ def asymptotic_constants(radial: RadialSpec, spec: WeightSpec = WeightSpec()) ->
     Each is a radial integral of the rescaled generator against the weight.
     As printed, the defining integrals for the location and eigen constants
     are negative for decreasing generators (the derivative is negative); the
-    constants are taken as reciprocals of their absolute values, anchored so
-    the Gaussian generator with the unit weight yields eta_s = 1 (the
-    unweighted mean's influence is exactly x - mu).  The empirical-oracle
-    tests pin this sign convention.
+    constants are taken as reciprocals of their absolute values.  The
+    weighted integrands vanish from the cutoff on, so each integral stops
+    there.  For the Gaussian generator with a negligible trim they have
+    closed forms, eta_s = 3^(p/2+1), phi_s = 3^(p/2+2) and
+    xi_s = 3^(p+4) 5^(-p/2-2), which the tests check; the empirical-oracle
+    tests pin the sign convention.
     """
     p = radial.p
-    # with a hard threshold the weighted integrands vanish beyond the cutoff
-    upper = None if spec.kind == UNIT else spec.cutoff
+    upper = spec.cutoff
 
     def wfun(u):
         return weight(u, spec)

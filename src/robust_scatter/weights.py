@@ -1,4 +1,4 @@
-"""Observation weight family.
+"""Observation weights: one family, indexed by the trimming threshold alpha.
 
 The estimator downweights observations by ``w(u) = e^{-u}`` and trims them
 entirely once ``e^{-u}`` falls to a threshold ``alpha``, i.e. once the squared
@@ -15,31 +15,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-HARD_THRESHOLD_EXPONENTIAL = "hard-threshold-exponential"
-UNIT = "unit"
-
-_KINDS = (HARD_THRESHOLD_EXPONENTIAL, UNIT)
-
 
 @dataclass(frozen=True)
 class WeightSpec:
-    """Weight-family configuration.
+    """Weight-family configuration: the trimming threshold alone.
 
     alpha : trimming threshold in (0, 1); weights below it are set to zero.
-    kind  : ``"hard-threshold-exponential"`` (default) or ``"unit"``.
-            The unit kind gives ``w == 1`` everywhere and exists so the same
-            solver code path reproduces the unweighted moment equations in
-            oracle tests.
     """
 
     alpha: float = 0.05
-    kind: str = HARD_THRESHOLD_EXPONENTIAL
 
     def __post_init__(self):
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha must be in (0, 1), got {self.alpha}")
-        if self.kind not in _KINDS:
-            raise ValueError(f"unknown weight kind {self.kind!r}; expected one of {_KINDS}")
 
     @property
     def cutoff(self) -> float:
@@ -50,23 +38,20 @@ class WeightSpec:
 def weight(u, spec: WeightSpec = WeightSpec()):
     """Evaluate the weight at squared distance ``u`` (scalar or array).
 
-    For the hard-threshold kind this is ``e^{-u}`` while ``u < ln(1/alpha)``
-    and exactly 0 from the boundary on (strict inequality, no epsilon band).
-    This weight defines the trimming ball: an observation is active, inside
-    it, exactly when its weight is positive (``estimator.in_ball``).
+    This is ``e^{-u}`` while ``u < ln(1/alpha)`` and exactly 0 from the
+    boundary on (strict inequality, no epsilon band).  This weight defines
+    the trimming ball: an observation is active, inside it, exactly when its
+    weight is positive (``estimator.in_ball``).
     """
     u = np.asarray(u, dtype=float)
     if np.any(u < 0):
         raise ValueError("squared distance u must be nonnegative")
-    if spec.kind == UNIT:
-        out = np.ones_like(u)
-    else:
-        # clamped at the cutoff, so exp never underflows (and NaN leaves it),
-        # then zeroed from the cutoff on by one multiply; a block of
-        # distances costs one array of weights and one of flags
-        out = np.fmin(u, spec.cutoff, out=np.empty_like(u))
-        np.exp(np.negative(out, out=out), out=out)
-        out *= u < spec.cutoff
+    # clamped at the cutoff, so exp never underflows (and NaN leaves it),
+    # then zeroed from the cutoff on by one multiply; a block of distances
+    # costs one array of weights and one of flags
+    out = np.fmin(u, spec.cutoff, out=np.empty_like(u))
+    np.exp(np.negative(out, out=out), out=out)
+    out *= u < spec.cutoff
     return out if out.ndim else float(out)
 
 
@@ -75,4 +60,3 @@ def weight_product(u, spec: WeightSpec = WeightSpec()):
     u = np.asarray(u, dtype=float)
     out = weight(u, spec) * u
     return out if np.ndim(out) else float(out)
-

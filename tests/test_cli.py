@@ -14,7 +14,7 @@ import pytest
 jsonschema = pytest.importorskip("jsonschema")
 
 import robust_scatter
-from robust_scatter import EmptyData, SimConfig, gen_mixture
+from robust_scatter import EmptyData, SimConfig, fit_sppca, gen_mixture
 from robust_scatter.cli import build_parser, load_csv, main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -213,6 +213,10 @@ def test_cmd_fit_outputs(tmp_path):
     assert rc == 0
     model = json.loads((out / "model.json").read_text())
     jsonschema.validate(model, schema("model"))
+    # the fit's own record: what fit_sppca reports at the same scale
+    fit = fit_sppca(load_csv(src), 6.0)
+    assert [model[key] for key in ("converged", "iterations", "residual", "active_ratio")] \
+        == [fit.converged, fit.iterations, fit.residual, fit.active_ratio]
     assert len(model["eigenvalues"]) == 2
     assert model["eigenvalues"] == sorted(model["eigenvalues"], reverse=True)
     assert len(model["eigenvectors"]) == 4 and len(model["eigenvectors"][0]) == 2
@@ -274,6 +278,31 @@ def test_cmd_fit_requires_scale(tmp_path, capsys):
 
 
 # ----------------------------------------------------------------- simulate
+
+
+@pytest.mark.parametrize("a", ["inf", "nan", "-inf"])
+def test_cmd_fit_rejects_non_finite_scale(tmp_path, capsys, a):
+    src = tmp_path / "data.csv"
+    write_gaussian_csv(src, n=100, p=3, seed=6)
+    rc = main(["fit", str(src), f"--a={a}", "--out-dir", str(tmp_path)])
+    assert rc == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"error": "ValueError", "message": "a must be a positive finite number"}
+    assert not (tmp_path / "model.json").exists()
+
+
+@pytest.mark.parametrize("tuning", [{}, {"a_star": None}, {"a_star": "4.0"},
+                                    {"a_star": True}, [4.0]],
+                         ids=["missing", "null", "string", "bool", "not-an-object"])
+def test_cmd_fit_names_a_bad_a_star(tmp_path, capsys, tuning):
+    src = tmp_path / "data.csv"
+    write_gaussian_csv(src, n=100, p=3, seed=6)
+    path = tmp_path / "tuning.json"
+    path.write_text(json.dumps(tuning))
+    rc = main(["fit", str(src), "--tuning", str(path), "--out-dir", str(tmp_path)])
+    assert rc == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"error": "ValueError", "message": f"{path}: a_star must be a number"}
 
 
 def test_cmd_simulate_outputs_and_schema(tmp_path):

@@ -27,7 +27,6 @@ from robust_scatter import (
     mahalanobis,
     pca,
     solution_set,
-    tau_scale,
 )
 from robust_scatter.estimator import (
     MAX_ABS_ENTRY,
@@ -41,7 +40,6 @@ from robust_scatter.estimator import (
     squared_distances,
 )
 from robust_scatter.tuning import build_grid, select_a_star, smooth_curve
-from robust_scatter.weights import UNIT
 
 from conftest import gaussian_data
 
@@ -89,11 +87,15 @@ def test_dataset_rejects_entries_whose_square_overflows(rng):
     (lambda: LocationScatter(np.zeros(2), np.eye(3)), "^shape mismatch"),
     (lambda: LocationScatter(np.array([0.0, np.inf]), np.eye(2)), "^mu and V must be finite$"),
     (lambda: LocationScatter(np.zeros(2), np.diag([1.0, np.nan])), "^mu and V must be finite$"),
-    (lambda: fit_sppca(DataSet(CROSS), 0.0), "^a must be positive$"),
-    (lambda: fit_sppca(DataSet(CROSS), -1.0), "^a must be positive$"),
+    (lambda: fit_sppca(DataSet(CROSS), 0.0), "^a must be a positive finite number$"),
+    (lambda: fit_sppca(DataSet(CROSS), -1.0), "^a must be a positive finite number$"),
+    (lambda: fit_sppca(DataSet(CROSS), np.nan), "^a must be a positive finite number$"),
+    (lambda: fit_sppca(DataSet(CROSS), np.inf), "^a must be a positive finite number$"),
+    (lambda: fit_sppca(DataSet(CROSS), -np.inf), "^a must be a positive finite number$"),
     (lambda: fit_tme(DataSet(CROSS), np.zeros(3)), r"^mu must have shape \(2,\)$"),
 ], ids=["dataset-1d", "dataset-obs-weights", "dataset-names", "ls-mu-2d", "ls-v-shape",
-        "ls-mu-inf", "ls-v-nan", "fit-a-zero", "fit-a-negative", "tme-mu-shape"])
+        "ls-mu-inf", "ls-v-nan", "fit-a-zero", "fit-a-negative", "fit-a-nan", "fit-a-inf",
+        "fit-a-minus-inf", "tme-mu-shape"])
 def test_estimator_rejects_bad_arguments(make, match):
     with pytest.raises(ValueError, match=match):
         make()
@@ -393,7 +395,7 @@ def reference_full_fit(data, mu, V, spec, opts):
     converged = False
     for it in range(1, opts.max_iter + 1):
         diff, d = distances(mu, V)
-        w = np.ones(n) if spec.kind == UNIT else np.where(d < spec.cutoff, np.exp(-d), 0.0)
+        w = np.where(d < spec.cutoff, np.exp(-d), 0.0)
         pw = pi * w
         mu_new = (pw @ X) / pw.sum()
         V_new = p / (pw @ d) * (diff.T @ (diff * pw[:, None]))
@@ -404,11 +406,11 @@ def reference_full_fit(data, mu, V, spec, opts):
         if r <= opts.tol:
             converged = True
             break
-    mask = np.ones(n, dtype=bool) if spec.kind == UNIT else distances(mu, V)[1] < spec.cutoff
+    mask = distances(mu, V)[1] < spec.cutoff
     return mu, V, it, converged, mask
 
 
-@pytest.mark.parametrize("variant", ["plain", "obs_weights", "unit"])
+@pytest.mark.parametrize("variant", ["plain", "obs_weights"])
 @pytest.mark.parametrize("p", [1, 3, 50])
 def test_full_fit_matches_row_layout_reference(p, variant):
     rng = np.random.default_rng(100 + p)
@@ -420,7 +422,7 @@ def test_full_fit_matches_row_layout_reference(p, variant):
         obs = rng.uniform(0.5, 1.5, n)
         obs /= obs.sum()
     data = DataSet(X, obs_weights=obs)
-    spec = WeightSpec(kind=UNIT) if variant == "unit" else WeightSpec()
+    spec = WeightSpec()
     a = 0.5 * p  # small enough that the hard threshold trims
     base = initial_estimate(data)
     # a fit stopped after two steps, far from the fixed point, and a converged one
@@ -474,8 +476,10 @@ def test_solution_set_rejects_nonpositive_scales(rng, diag_approx):
     # a bad scale is a bad argument, not a failed fit
     data = DataSet(gaussian_data(100, 2, rng=rng))
     opts = FitOptions(diag_approx=diag_approx)
-    for grid, bad in (([-1.0, 2.0], "-1"), ([0.0, 2.0], "0"), ([1.0, np.nan], "nan")):
-        with pytest.raises(ValueError, match=f"grid scales must be positive, got {bad}$"):
+    for grid, bad in (([-1.0, 2.0], "-1"), ([0.0, 2.0], "0"), ([1.0, np.nan], "nan"),
+                      ([1.0, np.inf], "inf")):
+        with pytest.raises(ValueError,
+                           match=f"grid scales must be positive and finite, got {bad}$"):
             solution_set(data, grid, opts=opts)
 
 
@@ -778,8 +782,6 @@ def test_initial_estimate_matches_per_column_reference(shape, law):
     ref = np.array([reference_tau_scale(X[:, j]) for j in range(shape[1])])
     assert np.array_equal(base.mu, np.median(X, axis=0))
     np.testing.assert_allclose(np.sqrt(np.diag(base.V)), ref, rtol=1e-14, atol=0)
-    np.testing.assert_allclose([tau_scale(X[:, j]) for j in range(shape[1])], ref,
-                               rtol=1e-14, atol=0)
 
 
 def test_initial_estimate_names_zero_mad_columns(rng):
@@ -802,12 +804,6 @@ def test_row_medians_match_numpy(rng, n):
         assert np.array_equal(_row_medians(A), np.median(A, axis=1))
 
 
-def test_tau_scale_rejects_non_finite_and_empty_samples():
-    for x in ([1.0, np.nan, 2.0, 3.0], [1.0, np.inf, 2.0], []):
-        with pytest.raises(ValueError, match="nonempty and finite"):
-            tau_scale(x)
-
-
 def test_tau_scale_consistency_constant():
     # re-derive the stored constant: population value of the raw tau-scale
     # at the standard Gaussian
@@ -823,10 +819,14 @@ def test_tau_scale_consistency_constant():
     assert TAU_SCALE_C1 == 4.5 and TAU_SCALE_C2 == 3.0
 
 
+def tau_scale(x):
+    """The tau-scale of one sample, as ``initial_estimate`` computes it."""
+    return math.sqrt(initial_estimate(DataSet(x[:, None])).V[0, 0])
+
+
 def test_tau_scale_gaussian_monte_carlo(rng):
     x = rng.standard_normal(10_000)
     assert abs(tau_scale(x) - 1.0) <= 0.05
-    assert tau_scale(np.full(100, 3.14)) == 0.0
 
 
 def test_tau_scale_resists_outliers(rng):

@@ -22,12 +22,14 @@ from robust_scatter import (
     if_eigenvalue_ratio,
     if_eigenvector,
     if_location,
+    in_ball,
+    mahalanobis,
     similarity_rho,
     unit_scale_fit,
 )
 from robust_scatter import estimator, metrics
-from robust_scatter.metrics import AsymptoticConstants
-from robust_scatter.weights import UNIT, weight, weight_product
+from robust_scatter.metrics import AsymptoticConstants, radial_integral
+from robust_scatter.weights import weight, weight_product
 
 SPEC = WeightSpec()
 IF_OPTS = FitOptions(tol=1e-10, max_iter=2000, diag_approx=False)
@@ -111,7 +113,7 @@ def test_radial_normalization():
         RadialSpec.student_t(2, 3.0),
         RadialSpec.student_t(3, 6.0, sigma_s0=2.0),
     ):
-        assert radial.normalization_integral() == pytest.approx(1.0, abs=1e-8)
+        assert radial_integral(radial.psi_s, radial.p) == pytest.approx(1.0, abs=1e-8)
 
 
 def test_radial_validation():
@@ -126,12 +128,15 @@ def test_radial_validation():
 # --------------------------------------------------------------- constants
 
 
-def test_constants_gaussian_unit_weight_anchor():
+def test_constants_gaussian_closed_form_anchor():
+    # at alpha = 1e-30 the cutoff is 69, where the trimmed Gaussian mass is
+    # far below the quadrature's tolerance, so the integrals of e^{-u} and
+    # e^{-2u} against the Gaussian generator have closed forms
     for p in (2, 3, 5, 10):
-        c = asymptotic_constants(RadialSpec.gaussian(p), WeightSpec(kind=UNIT))
-        assert c.eta_s == pytest.approx(1.0, abs=1e-8)
-        assert c.phi_s == pytest.approx(1.0, abs=1e-8)
-        assert c.xi_s == pytest.approx(1.0, abs=1e-8)
+        c = asymptotic_constants(RadialSpec.gaussian(p), WeightSpec(alpha=1e-30))
+        assert c.eta_s == pytest.approx(3.0 ** (p / 2 + 1), rel=1e-8)
+        assert c.phi_s == pytest.approx(3.0 ** (p / 2 + 2), rel=1e-8)
+        assert c.xi_s == pytest.approx(3.0 ** (p + 4) * 5.0 ** (-p / 2 - 2), rel=1e-8)
 
 
 def test_constants_quadrature_vs_monte_carlo():
@@ -178,8 +183,6 @@ def test_if_location_basics():
     far = np.array([10.0, 0.0, 0.0])
     assert np.allclose(if_location(far, model, consts, SPEC), 0.0)
     x = np.array([0.5, 0.2, -0.1])
-    from robust_scatter import mahalanobis
-
     d = mahalanobis(x, model)
     expect = consts.eta_s * math.exp(-d) * x
     assert np.allclose(if_location(x, model, consts, SPEC), expect, rtol=1e-12)
@@ -277,21 +280,25 @@ def test_eigvec_closed_forms_match_their_loop_forms(rng):
     # the per-m loops over 1 / (lam_j - lam_m) that the closed forms
     # replaced, kept as their reference
     consts = metrics.AsymptoticConstants(eta_s=1.3, phi_s=1.7, xi_s=0.9)
-    unit = WeightSpec(kind=UNIT)
     for p in (2, 5, 9):
         A = rng.standard_normal((p, p))
         model = LocationScatter(rng.standard_normal(p), A @ A.T + 0.5 * np.eye(p))
         lam, gam = metrics._eigenpairs(model)
         for j in range(p):
+            # a point inside the trimming ball, where the weight is positive
             c = rng.standard_normal(p)
+            c *= math.sqrt(rng.uniform(0.05, 0.95) * SPEC.cutoff
+                           / mahalanobis(model.mu + c, model))
+            w = weight(mahalanobis(model.mu + c, model), SPEC)
+            assert w > 0.0
             coeffs, inv2 = np.zeros(p), np.zeros(p)
             for m in range(p):
                 if m != j:
                     coeffs[m] = (gam[:, m] @ c) / (lam[j] - lam[m])
                     inv2[m] = 1.0 / (lam[j] - lam[m]) ** 2
-            iv = consts.phi_s * (gam[:, j] @ c) * (gam @ coeffs)
+            iv = consts.phi_s * w * (gam[:, j] @ c) * (gam @ coeffs)
             av = consts.xi_s * lam[j] * (gam * (lam * inv2)) @ gam.T
-            got_iv = if_eigenvector(model.mu + c, j, model, consts, unit)
+            got_iv = if_eigenvector(model.mu + c, j, model, consts, SPEC)
             got_av = asymptotic_variance("eigvec", model, consts, j=j)
             assert np.abs(got_iv - iv).max() <= 1e-12 * np.abs(iv).max()
             assert np.abs(got_av - av).max() <= 1e-12 * np.abs(av).max()
@@ -411,6 +418,27 @@ def test_empirical_if_eigvec_aligns_a_flipped_sign(monkeypatch):
     # would be about -2 g / eps, of norm 2000
     assert np.linalg.norm(out) < 10.0
     assert abs(out @ g) < 1e-2 * np.linalg.norm(out)
+
+
+def test_non_finite_point_is_rejected():
+    # a NaN or inf coordinate has no distance; unchecked, in_ball would read
+    # a NaN point as outside the ball and the location IF would be NaN
+    model = model_p3()
+    consts = asymptotic_constants(RadialSpec.gaussian(3), SPEC)
+    ref = DataSet(np.random.default_rng(5).standard_normal((200, 3)))
+    base = fit_sppca(ref, 3.0, spec=SPEC)
+    for x in ([np.nan, 0.0, 0.0], [0.0, np.inf, 0.0], [0.0, 0.0, -np.inf]):
+        x = np.array(x)
+        for call in (
+            lambda: mahalanobis(x, model),
+            lambda: in_ball(x, model, SPEC),
+            lambda: if_location(x, model, consts, SPEC),
+            lambda: if_eigenvector(x, 0, model, consts, SPEC),
+            lambda: if_eigenvalue_ratio(x, 0, 1, model, consts, SPEC),
+            lambda: empirical_if("location", x, ref, spec=SPEC, base=base),
+        ):
+            with pytest.raises(ValueError, match="^x must be finite$"):
+                call()
 
 
 def test_empirical_if_trimmed_point_is_exact_zero():

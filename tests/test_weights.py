@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from robust_scatter import LocationScatter, WeightSpec, in_ball, weight, weight_product
-from robust_scatter.weights import UNIT
 
 
 def test_analytic_values():
@@ -26,13 +25,6 @@ def test_boundary_is_trimmed():
     assert weight(np.nextafter(u, 0.0), spec) > 0.0
 
 
-def test_unit_kind():
-    spec = WeightSpec(alpha=0.05, kind=UNIT)
-    u = np.array([0.0, 1.0, 50.0])
-    assert np.all(weight(u, spec) == 1.0)
-    assert np.all(weight_product(u, spec) == u)
-
-
 def test_negative_u_rejected():
     with pytest.raises(ValueError):
         weight(-1e-9)
@@ -45,8 +37,6 @@ def test_invalid_spec():
         WeightSpec(alpha=0.0)
     with pytest.raises(ValueError):
         WeightSpec(alpha=1.0)
-    with pytest.raises(ValueError):
-        WeightSpec(kind="smooth")
 
 
 def test_product_sup_by_scan():
@@ -103,6 +93,5 @@ def test_in_ball_examples():
     assert in_ball(np.zeros(2), ls, spec)
     # |x - mu|^2 = 4 > ln(20) ~ 2.996
     assert not in_ball(np.array([2.0, 0.0]), ls, spec)
-    assert in_ball(np.array([2.0, 0.0]), ls, WeightSpec(kind="unit"))
     with pytest.raises(ValueError):
         in_ball(np.zeros(3), ls, spec)
