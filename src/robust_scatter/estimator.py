@@ -378,7 +378,9 @@ def fit_sppca(
     no step can take fails at iteration 1 with ``active`` None.  Under the
     full metric a step that leaves fewer than p observations active raises
     SingularScatter with that step's count, so with n < p the fit fails at
-    iteration 1.
+    iteration 1.  A start whose scatter has an entry of magnitude
+    MAX_ABS_ENTRY / p or more raises ValueError, as its stopping rule would
+    overflow.
     """
     if not 0.0 < a < np.inf:
         raise ValueError("a must be a positive finite number")
@@ -387,6 +389,7 @@ def fit_sppca(
         mu0, V0 = base.mu, a * base.V
     else:
         mu0, V0 = init.mu, init.V
+    _check_start(np.abs(V0).max(), data.p)
     if opts.diag_approx:
         (fit,) = _diag_fits(data, [a], mu0, np.diag(V0)[None, :], spec, opts)
     else:
@@ -397,6 +400,17 @@ def fit_sppca(
         raise fit
     finally:
         del fit  # the error's traceback holds this frame, which must not hold the error
+
+
+def _check_start(largest: float, p: int, where: str = "") -> None:
+    """Reject a start whose scatter has an entry of magnitude ``largest``
+    at or above MAX_ABS_ENTRY / p: the stopping rule's norm sums the squares
+    of the p^2 entries, and past that limit it overflows, so that the
+    relative change of an overflowed state could read as converged."""
+    limit = MAX_ABS_ENTRY / p
+    if not largest < limit:
+        raise ValueError(f"the start's scatter{where} has an entry of magnitude {largest:g}; "
+                         f"entries must be below MAX_ABS_ENTRY / p = {limit:.4g}")
 
 
 def _fit_error(n: int, cls, message: str, it: int, active: int | None):
@@ -590,7 +604,8 @@ def solution_set(
     start no step can take) are recorded in place with ``converged=False``,
     ``ls`` None, the error message and the iteration at which the fit
     failed, instead of aborting the path.  The scales must be positive,
-    finite and strictly increasing; results are in grid order.
+    finite and strictly increasing, and the start at the largest must pass
+    ``fit_sppca``'s magnitude limit; results are in grid order.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.size == 0:
@@ -601,6 +616,8 @@ def solution_set(
     if np.any(np.diff(grid) <= 0):
         raise ValueError("grid must be strictly increasing")
     base = initial_estimate(data)  # raises before any fit on degenerate data
+    _check_start(grid[-1] * np.abs(base.V).max(), data.p,
+                 f" at the grid's largest scale {grid[-1]:g}")
     if opts.diag_approx:
         dv = np.diag(base.V)
         fits = []

@@ -134,29 +134,16 @@ def sphere_area(p: int) -> float:
     return 2.0 * math.pi ** (p / 2.0) / math.gamma(p / 2.0)
 
 
-def radial_integral(g, p: int, upper: float | None = None) -> float:
+def radial_integral(g, p: int, upper: float) -> float:
     """Integral of g(y'y) over R^p, reduced to one radial dimension.
 
-    Substituting u = r**2 gives S_{p-1}/2 * integral of u^{p/2-1} g(u) du.
-    ``upper`` truncates the domain (for integrands that vanish beyond it);
-    without it the domain is split at max(4 p, 10).
+    Substituting u = r**2 gives S_{p-1}/2 * integral of u^{p/2-1} g(u) du,
+    taken over [0, ``upper``] in one adaptive quadrature: ``upper`` is where
+    the integrand vanishes, or ``np.inf``.
     """
     from scipy.integrate import quad
 
-    half = p / 2.0
-
-    def f(u):
-        return u ** (half - 1.0) * g(u)
-
-    if upper is not None:
-        pieces = [(0.0, upper)]
-    else:
-        mid = max(4.0 * p, 10.0)
-        pieces = [(0.0, mid), (mid, np.inf)]
-    total = 0.0
-    for lo, hi in pieces:
-        val, _ = quad(f, lo, hi, **_QUAD_KW)
-        total += val
+    total, _ = quad(lambda u: u ** (p / 2.0 - 1.0) * g(u), 0.0, upper, **_QUAD_KW)
     result = sphere_area(p) / 2.0 * total
     if not np.isfinite(result):
         raise ValueError("radial integral did not converge")
@@ -299,9 +286,14 @@ def unit_scale_fit(
     scatter nearly multiplicatively, so a secant iteration on log a against
     log |V(a)|^(1/p) finds the requested member of the solution family in a
     handful of cold-started fits, all from one robust initial estimate.  The
-    default target is unit scale.  Raises OracleFailure when the search does
-    not converge in 32 fits or a fitted scatter collapses.
+    default target is unit scale.  ``target_scale`` and ``a_hint`` (the
+    first scale tried) must be positive finite numbers.  Raises
+    OracleFailure when the search does not converge in 32 fits or a fitted
+    scatter collapses.
     """
+    for name, value in (("target_scale", target_scale), ("a_hint", a_hint)):
+        if value is not None and not 0.0 < value < math.inf:
+            raise ValueError(f"{name} must be a positive finite number")
     p = reference.p
     base = initial_estimate(reference)
     log_det_init = float(np.sum(np.log(np.diag(base.V)))) / p
@@ -330,15 +322,6 @@ def unit_scale_fit(
     raise OracleFailure(f"scale search did not converge (|log det|/p = {abs(g1):.2e})")
 
 
-def _normalized_eigen(fit: FitResult):
-    p = fit.ls.p
-    _, logdet = np.linalg.slogdet(fit.ls.V)
-    Vs = fit.ls.V * math.exp(-logdet / p)
-    model = LocationScatter(fit.ls.mu, Vs, diag_approx=fit.ls.diag_approx)
-    m = pca(model, p)
-    return m.eigenvalues, m.eigenvectors
-
-
 def empirical_if(
     functional: str,
     x,
@@ -361,8 +344,9 @@ def empirical_if(
 
     The base fit sits on the unit-scale member of the solution family and
     the perturbed fit is warm-started from it, so both track the same
-    branch; the fitted scatter is renormalized to determinant one before any
-    eigen-quantity is read off.  ``functional`` is ``"location"``,
+    branch.  Eigen-quantities are scale-free and are read off the fitted
+    scatter as the closed forms read them: eigenvalues closer than 1e-10
+    raise DegenerateSpectrum.  ``functional`` is ``"location"``,
     ``"eigvec"`` (index j), or ``"eigratio"`` (indices i, j).  When
     ``linearity_tol`` is set, the quotient is recomputed at eps/2 and a
     warning is issued if the two disagree by more than that relative amount.
@@ -396,7 +380,7 @@ def empirical_if(
         """The functional at ``fit``: mu, lambda_j / lambda_i or gamma_j."""
         if functional == "location":
             return fit.ls.mu
-        lam, gam = _normalized_eigen(fit)
+        lam, gam = _eigenpairs(fit.ls)
         return lam[j] / lam[i] if functional == "eigratio" else gam[:, j]
 
     base_val = value(base)

@@ -53,14 +53,18 @@ class SimConfig:
     seed: int
 
     def __post_init__(self):
+        if not self.n >= 2:
+            raise ValueError("need n >= 2")
         if not self.k >= 1:
             raise ValueError("need k >= 1")
         if not self.k < self.p:
             raise ValueError("need k < p")
-        if not self.nu > 2:
-            raise ValueError("need nu > 2 for the main component")
+        if not 2 < self.nu < np.inf:
+            raise ValueError("need a finite nu > 2 for the main component")
         if not 0.0 <= self.pi < 1.0:
             raise ValueError("pi must lie in [0, 1)")
+        if not 0.0 <= self.c < np.inf:
+            raise ValueError("need a finite c >= 0")
 
 
 @dataclass(frozen=True)

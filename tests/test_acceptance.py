@@ -40,7 +40,6 @@ from robust_scatter import (
     weight_product,
 )
 from robust_scatter.cli import main
-from robust_scatter.metrics import _normalized_eigen
 
 SPEC = WeightSpec(alpha=0.05)
 FULL = FitOptions(diag_approx=False)
@@ -233,7 +232,7 @@ def test_c5_asymptotic_variance():
             fit = unit_scale_fit(data, spec=SPEC, opts=opts, a_hint=hint,
                                  target_scale=branch)
             hint = fit.a
-            lam, _ = _normalized_eigen(fit)
+            lam = pca(fit.ls, p).eigenvalues
             vals.append(lam[1] / lam[0])
         except RobustScatterError:  # e.g. OracleFailure: the scale search not converging
             fails += 1

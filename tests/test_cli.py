@@ -280,6 +280,26 @@ def test_cmd_fit_requires_scale(tmp_path, capsys):
 # ----------------------------------------------------------------- simulate
 
 
+@pytest.mark.parametrize("scale, args", [
+    (1.0, ["fit", "--a", "1e300"]),
+    (1e78, ["fit", "--a", "1", "--no-standardize"]),
+    (1e78, ["tune", "--no-standardize"]),
+], ids=["fit-huge-a", "fit-huge-data", "tune-huge-data"])
+def test_cmd_rejects_a_start_too_large_for_the_stopping_rule(tmp_path, capsys, scale, args):
+    # unchecked, the stopping rule overflowed and fit wrote a model.json
+    # saying converged: true, residual: 0.0
+    src = tmp_path / "data.csv"
+    X = scale * np.random.default_rng(0).standard_normal((200, 3))
+    write_csv(src, X.tolist(), ["v0", "v1", "v2"])
+    rc = main([args[0], str(src), *args[1:], "--out-dir", str(tmp_path)])
+    assert rc == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ValueError"
+    assert err["message"].endswith("entries must be below MAX_ABS_ENTRY / p = 4.469e+153")
+    assert not (tmp_path / "model.json").exists()
+    assert not (tmp_path / "tuning.json").exists()
+
+
 @pytest.mark.parametrize("a", ["inf", "nan", "-inf"])
 def test_cmd_fit_rejects_non_finite_scale(tmp_path, capsys, a):
     src = tmp_path / "data.csv"
@@ -334,7 +354,14 @@ def test_cmd_simulate_usage_error_exit_2(tmp_path):
     (["--methods", "foo"], "methods must be a subset of "),
     (["--k", "0"], "invalid simulation grid: need k >= 1"),
     (["--k", "-1"], "invalid simulation grid: need k >= 1"),
-], ids=["empty-n", "unknown-method", "k-zero", "k-negative"])
+    (["--n", "0"], "invalid simulation grid: need n >= 2"),
+    (["--n", "-3"], "invalid simulation grid: need n >= 2"),
+    (["--n", "1"], "invalid simulation grid: need n >= 2"),
+    (["--nu", "inf"], "invalid simulation grid: need a finite nu > 2"),
+    (["--pi", "0.15", "--c", "nan"], "invalid simulation grid: need a finite c >= 0"),
+    (["--pi", "0", "--c", "nan"], "invalid simulation grid: need a finite c >= 0"),
+], ids=["empty-n", "unknown-method", "k-zero", "k-negative", "n-zero", "n-negative", "n-one",
+        "nu-inf", "c-nan", "c-nan-clean"])
 def test_cmd_simulate_bad_lists_exit_2(tmp_path, capsys, args, message):
     with pytest.raises(SystemExit) as exc:
         main(["simulate", *args, "--out-dir", str(tmp_path)])

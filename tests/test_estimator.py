@@ -483,6 +483,27 @@ def test_solution_set_rejects_nonpositive_scales(rng, diag_approx):
             solution_set(data, grid, opts=opts)
 
 
+@pytest.mark.parametrize("diag_approx", [True, False], ids=["diag", "full"])
+def test_a_start_too_large_for_the_stopping_rule_is_rejected(diag_approx):
+    # the relative change sums the squares of the scatter's entries: from
+    # MAX_ABS_ENTRY / p on it overflows, and an overflowed fit would read
+    # as converged with residual 0
+    data = DataSet(np.random.default_rng(0).standard_normal((200, 3)))
+    huge = DataSet(1e78 * data.X)
+    opts = FitOptions(diag_approx=diag_approx)
+    match = "entries must be below MAX_ABS_ENTRY / p = 4.469e\\+153$"
+    with pytest.raises(ValueError, match="^the start's scatter has an entry of magnitude"):
+        fit_sppca(data, 1e200, opts=opts)
+    init = LocationScatter(np.zeros(3), 1e200 * np.eye(3))
+    with pytest.raises(ValueError, match=match):
+        fit_sppca(data, 1.0, init=init, opts=opts)
+    with pytest.raises(ValueError, match=match):
+        fit_sppca(huge, 1.0, opts=opts)
+    with pytest.raises(ValueError, match="^the start's scatter at the grid's largest scale 9 "):
+        solution_set(huge, build_grid(3), opts=opts)
+    assert fit_sppca(data, 1e150, opts=opts).converged  # well inside the limit
+
+
 def test_solution_set_shape_uniqueness(rng):
     n, p = 1500, 5
     X = gaussian_data(n, p, V=np.diag([5.0, 4.0, 3.0, 2.0, 1.0]), rng=rng)

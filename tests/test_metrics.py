@@ -113,7 +113,7 @@ def test_radial_normalization():
         RadialSpec.student_t(2, 3.0),
         RadialSpec.student_t(3, 6.0, sigma_s0=2.0),
     ):
-        assert radial_integral(radial.psi_s, radial.p) == pytest.approx(1.0, abs=1e-8)
+        assert radial_integral(radial.psi_s, radial.p, np.inf) == pytest.approx(1.0, abs=1e-8)
 
 
 def test_radial_validation():
@@ -382,6 +382,15 @@ def test_unit_scale_fit_defaults_and_a_hint_on_target(monkeypatch):
     np.testing.assert_allclose(again.ls.V, fit.ls.V, rtol=1e-12)
 
 
+@pytest.mark.parametrize("name", ["target_scale", "a_hint"])
+@pytest.mark.parametrize("value", [0.0, -1.0, np.inf, np.nan],
+                         ids=["zero", "negative", "inf", "nan"])
+def test_unit_scale_fit_rejects_a_bad_scale(name, value):
+    ref = gaussian_reference(2, np.diag([2.0, 0.5]), n=500)
+    with pytest.raises(ValueError, match=f"^{name} must be a positive finite number$"):
+        unit_scale_fit(ref, **{name: value})
+
+
 def swap_symmetric_reference(n=4000, seed=1):
     """A sample closed under (x1, x2) -> (-x2, -x1): its fits have top
     eigenvector +-(1, -1)/sqrt 2, whose two entries are equal in magnitude
@@ -394,19 +403,19 @@ def swap_symmetric_reference(n=4000, seed=1):
 def test_empirical_if_eigvec_aligns_a_flipped_sign(monkeypatch):
     ref = swap_symmetric_reference()
     base = unit_scale_fit(ref)
-    g = metrics._normalized_eigen(base)[1][:, 0]
+    g = metrics._eigenpairs(base.ls)[1][:, 0]
     np.testing.assert_allclose(np.abs(g), np.sqrt(0.5), rtol=1e-10)
     # mass on the axis of the smaller entry tips the sign rule to that entry
     x = np.array([0.0, 1.0]) if abs(g[0]) >= abs(g[1]) else np.array([1.0, 0.0])
     seen = []
-    original = metrics._normalized_eigen
+    original = metrics._eigenpairs
 
-    def recorded(fit):
-        out = original(fit)
+    def recorded(model):
+        out = original(model)
         seen.append(out[1][:, 0])
         return out
 
-    monkeypatch.setattr(metrics, "_normalized_eigen", recorded)
+    monkeypatch.setattr(metrics, "_eigenpairs", recorded)
     # no opts and no base: the oracle's options and the unit-scale fit.  A
     # hard-trimmed fit on 4000 rows is not linear in eps at this point (its
     # active set moves), which the flip does not depend on.
@@ -418,6 +427,26 @@ def test_empirical_if_eigvec_aligns_a_flipped_sign(monkeypatch):
     # would be about -2 g / eps, of norm 2000
     assert np.linalg.norm(out) < 10.0
     assert abs(out @ g) < 1e-2 * np.linalg.norm(out)
+
+
+def test_empirical_if_raises_on_a_tied_spectrum():
+    # a sample closed under the 90 degree rotation has a unit-scale fit with
+    # exactly tied eigenvalues, where no eigenvector or ratio is defined: the
+    # oracle fails as the closed forms do instead of differencing arbitrary
+    # eigenvectors
+    X = np.random.default_rng(3).standard_normal((500, 2))
+    rotations = [X, X @ [[0.0, 1.0], [-1.0, 0.0]], -X, X @ [[0.0, -1.0], [1.0, 0.0]]]
+    ref = DataSet(np.vstack(rotations))
+    base = unit_scale_fit(ref)
+    x = np.array([0.5, 0.2])
+    assert in_ball(x, base.ls, SPEC)
+    consts = asymptotic_constants(RadialSpec.gaussian(2), SPEC)
+    with pytest.raises(DegenerateSpectrum):
+        if_eigenvector(x, 0, base.ls, consts, SPEC)
+    with pytest.raises(DegenerateSpectrum):
+        empirical_if("eigvec", x, ref, j=0, base=base)
+    with pytest.raises(DegenerateSpectrum):
+        empirical_if("eigratio", x, ref, i=0, j=1, base=base)
 
 
 def test_non_finite_point_is_rejected():
