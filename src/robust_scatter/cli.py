@@ -120,8 +120,7 @@ def _spec_opts(args):
 def cmd_tune(args) -> list[str]:
     data = load_csv(args.input, standardize=not args.no_standardize)
     spec, opts = _spec_opts(args)
-    grid = build_grid(data.p, m=args.grid_size)
-    path = solution_set(data, grid, spec=spec, opts=opts)
+    path = solution_set(data, build_grid(data.p), spec=spec, opts=opts)
     curve = smooth_curve(path)
     result = select_a_star(curve)
 
@@ -203,6 +202,8 @@ def _sim_configs(args, parser):
         ]
     except ValueError as exc:
         parser.error(f"invalid simulation grid: {exc}")
+    if args.replicates < 1:
+        parser.error(f"--replicates must be at least 1, got {args.replicates}")
     methods = _parse_list(args.methods, str)
     if not methods or set(methods) - set(METHODS):
         parser.error(f"methods must be a subset of {','.join(METHODS)}")
@@ -247,7 +248,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("tune", help="select the working scale from the AR curve")
     _add_common(sp)
-    sp.add_argument("--grid-size", type=int, default=50, help="grid points (default 50)")
 
     sp = sub.add_parser("fit", help="fit at a scale and emit the eigenmodel")
     _add_common(sp)

@@ -106,7 +106,7 @@ class DataSet:
             w = np.asarray(self.obs_weights, dtype=float)
             if w.shape != (n,):
                 raise ValueError(f"obs_weights must have shape ({n},), got {w.shape}")
-            if np.any(w < 0):
+            if not (w >= 0).all():  # NaN fails it too
                 raise ValueError("obs_weights must be nonnegative")
             if abs(w.sum() - 1.0) > 1e-12:
                 raise ValueError("obs_weights must sum to 1 within 1e-12")

@@ -65,6 +65,8 @@ class SimConfig:
             raise ValueError("pi must lie in [0, 1)")
         if not 0.0 <= self.c < np.inf:
             raise ValueError("need a finite c >= 0")
+        if not (isinstance(self.seed, (int, np.integer)) and self.seed >= 0):
+            raise ValueError("need an integer seed >= 0")
 
 
 @dataclass(frozen=True)

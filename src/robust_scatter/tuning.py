@@ -66,17 +66,18 @@ class TuningResult:
     ar_at_a_star: float
 
 
-def build_grid(p: int, m: int = 50) -> np.ndarray:
-    """The package's one scale grid: ``m`` linearly spaced scales over
-    [0.2 p, 3 p], for ``tune`` and the simulator alike.
+GRID_SIZE = 50
+
+
+def build_grid(p: int) -> np.ndarray:
+    """The package's one scale grid: ``GRID_SIZE`` linearly spaced scales
+    over [0.2 p, 3 p], for ``tune`` and the simulator alike.
 
     Its span is a factor of 15, so the smoother's 8 degrees of freedom
     still resolve the slope dip at the clean change point; a grid spanning
     two decades and more smooths that dip away.
     """
-    if m < 2:
-        raise ValueError("m must be at least 2")
-    return np.linspace(0.2 * p, 3.0 * p, m)
+    return np.linspace(0.2 * p, 3.0 * p, GRID_SIZE)
 
 
 MAX_SMOOTHER_DOF = 8

@@ -168,20 +168,20 @@ def test_cmd_tune_outputs(tmp_path):
     src = tmp_path / "data.csv"
     write_gaussian_csv(src, n=200, p=4, seed=1)
     out = tmp_path / "out"
-    rc = main(["tune", str(src), "--grid-size", "20", "--out-dir", str(out), "--threads", "1"])
+    rc = main(["tune", str(src), "--out-dir", str(out), "--threads", "1"])
     assert rc == 0
     curve = json.loads((out / "ar_curve.json").read_text())
     tuning = json.loads((out / "tuning.json").read_text())
     jsonschema.validate(curve, schema("ar_curve"))
     jsonschema.validate(tuning, schema("tuning"))
-    assert len(curve["a"]) == 20
+    assert len(curve["a"]) == 50
     assert all(0.0 <= v <= 1.0 for v in curve["ar_raw"])
     assert curve["ar_raw"][-1] == 1.0
     assert tuning["a_star"] in curve["a"]
 
 
 def test_cmd_tune_default_grid_size(tmp_path):
-    # the grid has 50 scales whatever n, unless --grid-size says otherwise
+    # the grid has 50 scales whatever n
     src = tmp_path / "data.csv"
     write_gaussian_csv(src, n=400, p=4, seed=3)
     out = tmp_path / "out"
@@ -191,13 +191,24 @@ def test_cmd_tune_default_grid_size(tmp_path):
     assert len(curve["a"]) == 50
 
 
+def test_cmd_tune_has_no_grid_size_option(tmp_path, capsys):
+    # the grid is a constant of the method, so its size is not an option
+    src = tmp_path / "data.csv"
+    write_gaussian_csv(src, n=100, p=3, seed=3)
+    with pytest.raises(SystemExit) as exc:
+        main(["tune", str(src), "--grid-size", "20", "--out-dir", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --grid-size 20" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_cmd_tune_deterministic(tmp_path):
     src = tmp_path / "data.csv"
     write_gaussian_csv(src, n=150, p=3, seed=2)
     outs = []
     for name in ("o1", "o2"):
         out = tmp_path / name
-        assert main(["tune", str(src), "--grid-size", "15", "--out-dir", str(out)]) == 0
+        assert main(["tune", str(src), "--out-dir", str(out)]) == 0
         outs.append((out / "ar_curve.json").read_bytes() + (out / "tuning.json").read_bytes())
     assert outs[0] == outs[1]
 
@@ -259,7 +270,7 @@ def test_cmd_fit_uses_prior_tuning(tmp_path):
     src = tmp_path / "data.csv"
     write_gaussian_csv(src, n=150, p=3, seed=5)
     out = tmp_path / "out"
-    assert main(["tune", str(src), "--grid-size", "12", "--out-dir", str(out)]) == 0
+    assert main(["tune", str(src), "--out-dir", str(out)]) == 0
     rc = main(["fit", str(src), "--tuning", str(out / "tuning.json"), "--k", "1",
                "--out-dir", str(out)])
     assert rc == 0
@@ -360,8 +371,12 @@ def test_cmd_simulate_usage_error_exit_2(tmp_path):
     (["--nu", "inf"], "invalid simulation grid: need a finite nu > 2"),
     (["--pi", "0.15", "--c", "nan"], "invalid simulation grid: need a finite c >= 0"),
     (["--pi", "0", "--c", "nan"], "invalid simulation grid: need a finite c >= 0"),
+    (["--seed", "-1"], "invalid simulation grid: need an integer seed >= 0"),
+    (["--replicates", "0"], "--replicates must be at least 1, got 0"),
+    (["--replicates", "-2"], "--replicates must be at least 1, got -2"),
 ], ids=["empty-n", "unknown-method", "k-zero", "k-negative", "n-zero", "n-negative", "n-one",
-        "nu-inf", "c-nan", "c-nan-clean"])
+        "nu-inf", "c-nan", "c-nan-clean", "seed-negative", "replicates-zero",
+        "replicates-negative"])
 def test_cmd_simulate_bad_lists_exit_2(tmp_path, capsys, args, message):
     with pytest.raises(SystemExit) as exc:
         main(["simulate", *args, "--out-dir", str(tmp_path)])
@@ -478,8 +493,7 @@ def test_cli_entry_point_subprocess(tmp_path):
     src = tmp_path / "data.csv"
     write_gaussian_csv(src, n=100, p=3, seed=8)
     out = tmp_path / "out"
-    proc, loaded = run_fresh("-m", "robust_scatter.cli", "tune", str(src), "--grid-size", "10",
-                             "--out-dir", str(out))
+    proc, loaded = run_fresh("-m", "robust_scatter.cli", "tune", str(src), "--out-dir", str(out))
     assert proc.returncode == 0, proc.stderr
     assert (out / "tuning.json").exists()
     assert not scipy_modules(loaded)
@@ -519,7 +533,7 @@ def test_cli_env_thread_fallback(tmp_path, monkeypatch):
     # leaves the run alone
     monkeypatch.setenv("ROBUST_SCATTER_THREADS", "abc")
     out = tmp_path / "out"
-    assert main(["tune", str(src), "--grid-size", "10", "--out-dir", str(out)]) == 0
+    assert main(["tune", str(src), "--out-dir", str(out)]) == 0
     assert (out / "tuning.json").exists()
 
 

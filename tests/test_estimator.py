@@ -63,6 +63,18 @@ def test_dataset_validation():
     assert np.allclose(data.effective_weights(), 0.25)
 
 
+def test_dataset_rejects_non_finite_row_weights(rng):
+    # NaN compares False with 0 and makes the sum NaN, so it once passed
+    # both checks and the fit failed later as SingularScatter; +-inf fail
+    # the sum and the sign checks
+    X = gaussian_data(100, 3, rng=rng)
+    for bad in (np.nan, np.inf, -np.inf):
+        w = np.full(100, 0.01)
+        w[7] = bad
+        with pytest.raises(ValueError, match="^obs_weights must"):
+            DataSet(X, obs_weights=w)
+
+
 def test_dataset_rejects_entries_whose_square_overflows(rng):
     # x^2 must be finite: above sqrt(float max) a far row's infinite square
     # times its zero weight turned every diagonal fit into EmptyActiveSet
@@ -592,7 +604,7 @@ def test_solution_set_propagates_unexpected_errors(rng, monkeypatch):
 
     monkeypatch.setattr("robust_scatter.estimator.weight", broken_weight)
     with pytest.raises(TypeError, match="not a fit failure"):
-        solution_set(DataSet(gaussian_data(50, 2, rng=rng)), build_grid(2, m=10))
+        solution_set(DataSet(gaussian_data(50, 2, rng=rng)), build_grid(2))
 
 
 @pytest.mark.parametrize("diag_approx", [True, False], ids=["diag", "full"])
