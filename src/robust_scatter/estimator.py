@@ -504,7 +504,7 @@ def _diag_fits(data, scales, mu0, v0, spec, opts) -> list:
         v'  = p / sum(W * d) * (W^T (X * X) - 2 M * W^T X + M^2 * sum W)
 
     with the rows centred at ``mu0`` to keep the expanded form's
-    cancellation small.  A fit leaves the block when
+    cancellation small.  A fit leaves the batch when
     (mu, diag V) moves by at most ``opts.tol`` relative, when it fails, or
     at ``opts.max_iter``.  A diagonal entry that is not a positive normal
     double fails the fit (SingularScatter), as every distance takes its
@@ -549,7 +549,7 @@ def _diag_fits(data, scales, mu0, v0, spec, opts) -> list:
         W *= pi[:, None]
         sw = W.sum(axis=0)
         swd = np.einsum("ij,ij->j", W, d)
-        del d  # n x block: free it before the active sets' distances below
+        del d  # n x batch: free it before the active sets' distances below
         bad = (sw <= 0.0) | (swd <= 0.0)
         if bad.any():
             for j in np.flatnonzero(bad):
@@ -595,11 +595,10 @@ def solution_set(
 ) -> list[FitResult]:
     """One fit per grid scale, each cold-started at (mu_tilde, a * V_tilde).
 
-    Under the diagonal metric the scales run through one batched iteration
-    in blocks of at most p, so its n x block temporaries are never larger
-    than the data; each fit is the one ``fit_sppca`` returns at its scale,
-    up to rounding, and forms its full scatter only when its ``ls`` is
-    read.  Under the full metric the fits run one after another.
+    Under the diagonal metric all scales run through one batched
+    iteration; each fit is the one ``fit_sppca`` returns at its scale, up
+    to rounding, and forms its full scatter only when its ``ls`` is read.
+    Under the full metric the fits run one after another.
     Failed fits (empty active set, degenerate step, singular scatter, a
     start no step can take) are recorded in place with ``converged=False``,
     ``ls`` None, the error message and the iteration at which the fit
@@ -619,11 +618,7 @@ def solution_set(
     _check_start(grid[-1] * np.abs(base.V).max(), data.p,
                  f" at the grid's largest scale {grid[-1]:g}")
     if opts.diag_approx:
-        dv = np.diag(base.V)
-        fits = []
-        for lo in range(0, grid.size, data.p):
-            block = grid[lo:lo + data.p]
-            fits += _diag_fits(data, block, base.mu, block[:, None] * dv, spec, opts)
+        fits = _diag_fits(data, grid, base.mu, grid[:, None] * np.diag(base.V), spec, opts)
     else:
         fits = [_full_fit(data, a, base.mu, a * base.V, spec, opts) for a in grid]
     return [fit if isinstance(fit, FitResult) else _failed_fit(data, a, fit)

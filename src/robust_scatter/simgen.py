@@ -33,6 +33,7 @@ from .tuning import build_grid, select_a_star, smooth_curve
 from .weights import WeightSpec
 
 METHODS = ("sppca_astar", "sppca_opt", "tme")
+_EIGEN_DRAWS = 1000  # gen_eigenvalues gives up after this many draws
 
 # gen_separable_mixture: the main cloud's squared-distance quantile, and the
 # multiple of it that every clipped contaminant point keeps
@@ -92,19 +93,21 @@ def gen_eigenvalues(n: int, p: int, k: int, rng: np.random.Generator) -> np.ndar
     p - k noise eigenvalues over [0, 2], sorted descending.
 
     Redrawn until all consecutive gaps exceed 1e-6 so the eigenvalues are
-    strictly distinct.
+    strictly distinct; a draw succeeds with chance about exp(-p^2 / 2e6),
+    so after ``_EIGEN_DRAWS`` draws this raises ValueError.
     """
     if not k >= 1:
         raise ValueError("need k >= 1")
     if not k < p:
         raise ValueError("need k < p")
     u = 1.0 + np.sqrt(p / n)
-    while True:
+    for _ in range(_EIGEN_DRAWS):
         signal = rng.uniform(2.0 * u, 10.0 * u, size=k)
         noise = rng.uniform(0.0, 2.0, size=p - k)
         lam = np.sort(np.concatenate([signal, noise]))[::-1]
         if np.all(-np.diff(lam) > 1e-6):
             return lam
+    raise ValueError(f"no eigenvalues 1e-6 apart in {_EIGEN_DRAWS} draws at p={p}, k={k}")
 
 
 def sample_mvt(nu: float, mu, V, n: int, rng: np.random.Generator) -> np.ndarray:

@@ -537,19 +537,22 @@ def test_solution_set_ar_nondecreasing(rng):
 
 
 def test_solution_set_columns_match_single_fits(rng):
-    # 20 scales at p = 5 run as four blocks of the batched iteration; each
-    # column is the fit of its scale on its own
+    # all scales at p = 5 run as one batched iteration, 20 of them and the
+    # tuning grid's 50; each column is the fit of its scale on its own
     p = 5
-    data = DataSet(gaussian_data(400, p, V=np.diag([5.0, 4.0, 3.0, 2.0, 1.0]), rng=rng))
-    path = solution_set(data, np.linspace(0.2 * p, 3.0 * p, 20))
-    assert all(f.converged for f in path)
-    for f in path:
-        single = fit_sppca(data, f.a)
-        assert np.array_equal(f.active_mask, single.active_mask)
-        d = squared_distances(data.X - f.ls.mu, f.ls.V, diag_approx=True)
-        assert np.array_equal(f.active_mask, d < WeightSpec().cutoff)
-        assert np.abs(f.ls.V - single.ls.V).max() <= 1e-10 * np.abs(single.ls.V).max()
-        assert np.abs(f.ls.mu - single.ls.mu).max() <= 1e-10 * (1.0 + np.abs(single.ls.mu).max())
+    V = np.diag([5.0, 4.0, 3.0, 2.0, 1.0])
+    for n, grid in [(400, np.linspace(0.2 * p, 3.0 * p, 20)), (3000, build_grid(p))]:
+        data = DataSet(gaussian_data(n, p, V=V, rng=rng))
+        path = solution_set(data, grid)
+        assert all(f.converged for f in path)
+        for f in path:
+            single = fit_sppca(data, f.a)
+            assert np.array_equal(f.active_mask, single.active_mask)
+            d = squared_distances(data.X - f.ls.mu, f.ls.V, diag_approx=True)
+            assert np.array_equal(f.active_mask, d < WeightSpec().cutoff)
+            assert np.abs(f.ls.V - single.ls.V).max() <= 1e-10 * np.abs(single.ls.V).max()
+            assert (np.abs(f.ls.mu - single.ls.mu).max()
+                    <= 1e-10 * (1.0 + np.abs(single.ls.mu).max()))
 
 
 def test_diag_distances_match_direct_form(rng):

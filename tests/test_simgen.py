@@ -72,6 +72,14 @@ def test_gen_eigenvalues_intervals(rng):
         assert np.min(-np.diff(lam)) > 1e-6
 
 
+def test_gen_eigenvalues_gives_up_at_large_p():
+    # at p = 8000 a draw has all gaps above 1e-6 with chance about e^-32,
+    # so the redraws give up
+    with pytest.raises(ValueError, match=r"^no eigenvalues 1e-6 apart in \d+ draws "
+                                         r"at p=8000, k=5$"):
+        gen_eigenvalues(250, 8000, 5, np.random.default_rng(0))
+
+
 # -------------------------------------------------------------- t sampling
 
 
