@@ -188,7 +188,8 @@ def _parse_list(text, typ, flag, parser):
     return vals
 
 
-def _sim_configs(args, parser):
+def _sim_configs(args):
+    parser = args.parser  # the subcommand's, so its usage line heads the error
     try:
         ns = _parse_list(args.n, int, "--n", parser)
         ps = _parse_list(args.p, int, "--p", parser)
@@ -212,13 +213,9 @@ def _sim_configs(args, parser):
     return configs, methods
 
 
-def cmd_simulate(args, parser) -> list[str]:
-    configs, methods = _sim_configs(args, parser)
-    spec, opts = _spec_opts(args)
-    table = run_experiment(
-        configs, methods=methods, replicates=args.replicates,
-        spec=spec, opts=opts,
-    )
+def cmd_simulate(args) -> list[str]:
+    configs, methods = _sim_configs(args)
+    table = run_experiment(configs, methods=methods, replicates=args.replicates)
     out_csv = os.path.join(args.out_dir, "experiment.csv")
     out_json = os.path.join(args.out_dir, "experiment.json")
     cols = ["n", "p", "k", "nu", "pi", "c", "seed", "method", "mean_rho", "se_rho", "n_fail"]
@@ -232,11 +229,11 @@ def _add_common(sp, with_input=True):
         sp.add_argument("input", help="input CSV (header row required)")
         sp.add_argument("--no-standardize", action="store_true",
                         help="skip per-column standardization of input CSV")
-    sp.add_argument("--alpha", type=float, default=0.05, help="trimming threshold")
+        sp.add_argument("--alpha", type=float, default=0.05, help="trimming threshold")
+        sp.add_argument("--full-mahalanobis", action="store_true",
+                        help="use the full scatter in distances instead of its diagonal")
     sp.add_argument("--threads", type=int, default=None,
                     help="accepted for compatibility; no longer changes the computation")
-    sp.add_argument("--full-mahalanobis", action="store_true",
-                    help="use the full scatter in distances instead of its diagonal")
     sp.add_argument("--out-dir", default=".", help="output directory")
 
 
@@ -261,6 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         sp = sub.add_parser(name, help=f"{name} the estimator over a config grid")
         _add_common(sp, with_input=False)
+        sp.set_defaults(parser=sp)
         sp.add_argument("--seed", type=int, default=0, help="base random seed")
         sp.add_argument("--n", default=defaults["n"], help="comma list of sample sizes")
         sp.add_argument("--p", default=defaults["p"], help="comma list of dimensions")
@@ -285,7 +283,7 @@ def main(argv=None) -> int:
         elif args.command == "fit":
             written = cmd_fit_pca(args)
         else:
-            written = cmd_simulate(args, parser)
+            written = cmd_simulate(args)
     except Exception as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),
               file=sys.stderr)

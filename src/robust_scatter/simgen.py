@@ -10,14 +10,17 @@ signal eigenvalues scaled up with the aspect ratio p/n and drawn above the
 noise ones, so the first k eigenvectors span the top-k eigenspace.
 
 ``run_experiment`` evaluates estimator variants over seeded replicates and
-returns subspace-similarity summaries per configuration and method.
+returns subspace-similarity summaries per configuration and method.  Every
+fit runs at the package defaults (``alpha = 0.05``, the diagonal metric,
+tolerance 1e-8, 500 iterations); none of them is a parameter here.
 
 A replicate takes the top-k eigenvectors of the scatters it scores (its
 whole path for ``sppca_opt``, else the tuned fit's, none for ``tme``
 alone) from one stacked ``numpy.linalg.eigh`` call and scores them in one
 ``similarity_rho`` call.  The F quantile of ``gen_separable_mixture`` comes
 from ``scipy.special``, imported inside that function, so importing the
-package (every CLI command does) loads no ``scipy``.
+package (every CLI command does) loads no ``scipy``, and neither does a
+replicate, whose diagonal-metric fits need no ``scipy.linalg``.
 """
 
 from __future__ import annotations
@@ -28,10 +31,9 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from .errors import RobustScatterError
-from .estimator import DataSet, FitOptions, fit_tme, pca, solution_set, top_eigenpairs
+from .estimator import DataSet, fit_tme, pca, solution_set, top_eigenpairs
 from .metrics import similarity_rho
 from .tuning import build_grid, select_a_star, smooth_curve
-from .weights import WeightSpec
 
 METHODS = ("sppca_astar", "sppca_opt", "tme")
 
@@ -219,11 +221,11 @@ def replicate_seed(seed: int, rep: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def _one_replicate(cfg, rep, methods, spec, opts):
+def _one_replicate(cfg, rep, methods):
     """Similarities for all requested methods on one seeded draw."""
     data, truth = gen_mixture(replace(cfg, seed=replicate_seed(cfg.seed, rep)))
     out: dict[str, float | None] = {}
-    path = solution_set(data, build_grid(cfg.p), spec=spec, opts=opts)
+    path = solution_set(data, build_grid(cfg.p))
     try:
         curve = smooth_curve(path)
     except RobustScatterError:  # fewer than 4 usable fits
@@ -247,27 +249,22 @@ def _one_replicate(cfg, rep, methods, spec, opts):
             with warnings.catch_warnings():
                 warnings.filterwarnings("ignore", category=UserWarning,
                                         module=r"robust_scatter\.estimator")
-                ls = fit_tme(data, astar_fit.ls.mu, opts=opts)
+                ls = fit_tme(data, astar_fit.ls.mu)
             out["tme"] = similarity_rho(pca(ls, cfg.k).eigenvectors, truth.Gamma_k)
         except (RobustScatterError, np.linalg.LinAlgError):
             out["tme"] = None
     return out
 
 
-def run_experiment(
-    configs,
-    methods=METHODS,
-    replicates: int = 20,
-    spec: WeightSpec = WeightSpec(),
-    opts: FitOptions = FitOptions(),
-) -> ExperimentTable:
+def run_experiment(configs, methods=METHODS, replicates: int = 20) -> ExperimentTable:
     """Mean and standard error of the subspace similarity per config and
     method over seeded replicates, as an in-memory ``ExperimentTable``.
 
     ``sppca_astar`` picks the path element at the tuned scale, ``sppca_opt``
     the path element with the best similarity (an oracle, for reference
-    only), and ``tme`` the unweighted baseline (``fit_tme`` with ``opts``, so
-    under the diagonal metric by default) at the tuned location.
+    only), and ``tme`` the unweighted baseline (``fit_tme``) at the tuned
+    location.  The path and the baseline run at the package defaults,
+    ``WeightSpec()`` and ``FitOptions()``, so under the diagonal metric.
     Per-replicate seeds derive from (config seed, replicate index), so any
     replicate can be reproduced in isolation.  Replicates with failed fits
     are excluded per method and counted; a config-method cell failing more
@@ -283,7 +280,7 @@ def run_experiment(
 
     rows, rep_rows = [], []
     for cfg in configs:
-        results = [_one_replicate(cfg, rep, methods, spec, opts) for rep in range(replicates)]
+        results = [_one_replicate(cfg, rep, methods) for rep in range(replicates)]
 
         for rep, res in enumerate(results):
             for method in methods:

@@ -257,7 +257,7 @@ def test_c6_contamination_robustness():
         SimConfig(n=250, p=50, k=5, nu=10.0, pi=0.0, c=4.0, seed=606),
     ]
     table = run_experiment(configs, methods=("sppca_astar", "sppca_opt", "tme"),
-                           replicates=20, spec=SPEC)
+                           replicates=20)  # runs at the package defaults, whose alpha is SPEC's
     rows = {(r["pi"], r["method"]): r["mean_rho"] for r in table.rows}
     contaminated_ok = (rows[(0.15, "sppca_astar")] >= rows[(0.15, "tme")]
                        and rows[(0.15, "sppca_astar")] >= 0.85)

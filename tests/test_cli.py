@@ -248,6 +248,16 @@ def test_cmd_fit_outputs(tmp_path):
     assert header == ["PC1", "PC2"]
     assert scores.shape == (250, 2)
 
+    # --alpha is the trimming level: inside the ball e^{-d} > alpha
+    assert main(["fit", str(src), "--a", "6.0", "--k", "2", "--alpha", "0.2",
+                 "--out-dir", str(out / "alpha")]) == 0
+    assert json.loads((out / "alpha" / "model.json").read_text())["alpha"] == 0.2
+    with open(out / "alpha" / "weights.csv") as fh:
+        kept = [float(r["weight"]) for r in csv.DictReader(fh) if r["active"] == "1"]
+    assert kept and min(kept) > 0.2
+    # at the default alpha = 0.05 some active rows weigh less: the flag is not ignored
+    assert min(float(r["weight"]) for r in rows if r["active"] == "1") <= 0.2
+
 
 def test_cmd_fit_scores_align_with_model(tmp_path):
     src = tmp_path / "data.csv"
@@ -390,7 +400,9 @@ def test_cmd_simulate_bad_lists_exit_2(tmp_path, capsys, args, message):
     with pytest.raises(SystemExit) as exc:
         main(["simulate", *args, "--out-dir", str(tmp_path)])
     assert exc.value.code == 2
-    assert message in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("usage: robust-scatter simulate")  # the subcommand's usage
+    assert message in err
 
 
 def test_cmd_simulate_determinism_across_workers(tmp_path):
@@ -556,10 +568,12 @@ def test_cli_seed_only_for_simulation():
 
 @pytest.mark.parametrize("cmd", ["simulate", "benchmark"])
 def test_no_standardize_only_with_an_input(cmd):
-    # simulate and benchmark read no CSV, so they take no --no-standardize
-    with pytest.raises(SystemExit) as exc:
-        build_parser().parse_args([cmd, "--no-standardize"])
-    assert exc.value.code == 2
+    # simulate and benchmark read no CSV, so they take no --no-standardize;
+    # they run the estimator at its defaults, so no --alpha or metric either
+    for flag in (["--no-standardize"], ["--alpha", "0.1"], ["--full-mahalanobis"]):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args([cmd, *flag])
+        assert exc.value.code == 2
 
 
 def test_parser_is_built_once_and_parses_afresh():

@@ -1,5 +1,4 @@
 import warnings
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -322,17 +321,17 @@ def test_run_experiment_silences_only_the_baselines_own_warnings(monkeypatch):
     # numerical fault's RuntimeWarning must surface
     real_tme = simgen.fit_tme
 
-    def stopped_tme(data, mu, opts):
-        return real_tme(data, mu, opts=replace(opts, max_iter=1))
+    def stopped_tme(data, mu):
+        return real_tme(data, mu, opts=FitOptions(max_iter=1))
 
-    def faulty_tme(data, mu, opts):
+    def faulty_tme(data, mu):
         warnings.warn("overflow encountered in divide", RuntimeWarning)
-        return real_tme(data, mu, opts=opts)
+        return real_tme(data, mu)
 
     cfg = SimConfig(n=100, p=5, k=2, nu=10.0, pi=0.0, c=1.0, seed=1)
     data, _ = gen_mixture(cfg)
     with pytest.warns(UserWarning, match="did not converge"):
-        stopped_tme(data, np.zeros(cfg.p), FitOptions())
+        stopped_tme(data, np.zeros(cfg.p))
     monkeypatch.setattr(simgen, "fit_tme", stopped_tme)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
