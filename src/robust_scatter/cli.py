@@ -189,7 +189,7 @@ def _parse_list(text, typ, flag, parser):
 
 
 def _sim_configs(args):
-    parser = args.parser  # the subcommand's, so its usage line heads the error
+    parser = args.parser
     try:
         ns = _parse_list(args.n, int, "--n", parser)
         ps = _parse_list(args.p, int, "--p", parser)
@@ -225,6 +225,7 @@ def cmd_simulate(args) -> list[str]:
 
 
 def _add_common(sp, with_input=True):
+    sp.set_defaults(parser=sp)  # the subcommand's, so its usage line heads its errors
     if with_input:
         sp.add_argument("input", help="input CSV (header row required)")
         sp.add_argument("--no-standardize", action="store_true",
@@ -258,7 +259,6 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         sp = sub.add_parser(name, help=f"{name} the estimator over a config grid")
         _add_common(sp, with_input=False)
-        sp.set_defaults(parser=sp)
         sp.add_argument("--seed", type=int, default=0, help="base random seed")
         sp.add_argument("--n", default=defaults["n"], help="comma list of sample sizes")
         sp.add_argument("--p", default=defaults["p"], help="comma list of dimensions")
@@ -274,8 +274,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args, extra = build_parser().parse_known_args(argv)
+    if extra:
+        args.parser.error(f"unrecognized arguments: {' '.join(extra)}")
     try:
         os.makedirs(args.out_dir, exist_ok=True)
         if args.command == "tune":

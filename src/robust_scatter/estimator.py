@@ -70,7 +70,7 @@ MAX_ABS_ENTRY = float(np.sqrt(np.finfo(float).max))
 
 
 # Every diagonal-metric distance takes the reciprocal of diag V, which can
-# overflow below the smallest normal double.
+# overflow below the smallest normal double; a robust scale below it is 0.
 _MIN_DIAGONAL = np.finfo(float).tiny
 _BAD_DIAGONAL = "diagonal of V has non-positive or subnormal entries"
 
@@ -144,8 +144,7 @@ class LocationScatter:
             raise ValueError(f"shape mismatch: mu {mu.shape}, V {V.shape}")
         if not (np.all(np.isfinite(mu)) and np.all(np.isfinite(V))):
             raise ValueError("mu and V must be finite")
-        scale = max(np.abs(V).max(), 1.0)
-        if np.abs(V - V.T).max() > 1e-10 * scale:
+        if np.abs(V - V.T).max() > 1e-10 * np.abs(V).max():
             raise ValueError("V must be symmetric within 1e-10 relative")
         if self.diag_approx:
             if _bad_diagonals(np.diag(V)):
@@ -183,10 +182,11 @@ class _FormedOnRead:
 class FitResult:
     """Converged (or flagged) state of one fixed-point run.
 
-    ``residual`` is the relative change of the last step: of (mu, diag V)
-    under the diagonal metric, of (mu, V) under the full one.  A
-    diagonal-metric fit's ``ls`` is formed on its first read, then kept;
-    its diagonal is the final diag V that ``active_mask`` was computed from.
+    ``residual`` is the size of the last step in the metric of the state it
+    started from (``_step``), so it has no units: a fit of X s + b stops
+    where the fit of X does.  A diagonal-metric fit's ``ls`` is formed on
+    its first read, then kept; its diagonal is the final diag V that
+    ``active_mask`` was computed from.
     A failed solution-path entry (``error`` set) has no state: ``ls`` None.
     """
 
@@ -251,11 +251,12 @@ def squared_distances(diff: np.ndarray, V: np.ndarray, diag_approx: bool) -> np.
             raise SingularScatter(_BAD_DIAGONAL)
         return np.square(diff) @ (1.0 / dv)
     D = np.asarray(diff).T
-    return _full_distances(D, V, np.empty(D.shape))
+    return _full_distances(D, V, np.empty(D.shape))[0]
 
 
-def _full_distances(D: np.ndarray, V: np.ndarray, Z: np.ndarray) -> np.ndarray:
-    """Squared full-metric distances of the columns of the p x n array D.
+def _full_distances(D: np.ndarray, V: np.ndarray, Z: np.ndarray):
+    """Squared full-metric distances of the columns of the p x n array D,
+    and the inverse factor L^{-1} they were whitened with.
 
     The one full-metric kernel: V = L L^T is factored, the p x p factor is
     inverted, and one product whitens every column, Z = L^{-1} D, into the
@@ -272,7 +273,7 @@ def _full_distances(D: np.ndarray, V: np.ndarray, Z: np.ndarray) -> np.ndarray:
     np.square(Z, out=Z)
     # summing the p rows with a matrix-vector product keeps the inner loops
     # n long
-    return np.ones(Z.shape[0]) @ Z
+    return np.ones(Z.shape[0]) @ Z, Linv
 
 
 def mahalanobis(x, ls: LocationScatter) -> float:
@@ -300,15 +301,21 @@ def in_ball(x, ls: LocationScatter, spec: WeightSpec = WeightSpec()) -> bool:
 
 def _step(XT, pi, mu, V, weigh, diag_approx, D, Z):
     """One step of the fixed-point map, with weights w_i = weigh(d_i), on the
-    columns of the p x n array XT; returns (mu_new, V_new, active), with
-    ``active`` the number of observations of positive weight.
+    columns of the p x n array XT; returns (mu_new, V_new, active, residual),
+    with ``active`` the number of observations of positive weight and
+    ``residual`` the step's size in the metric of V = L L^T: under the full
+    metric max(||L^{-1}(mu_new - mu)||, ||L^{-1}(V_new - V) L^{-T}||_F),
+    under the diagonal one ``_diag_residual``.
 
     D and Z are p x n work arrays: D receives the columns of XT centred at
     mu, and Z the whitened columns (under the full metric), then the
     weighted ones.  Their contents on entry are ignored.
     """
     np.subtract(XT, mu[:, None], out=D)
-    d = squared_distances(D.T, V, True) if diag_approx else _full_distances(D, V, Z)
+    if diag_approx:
+        d = squared_distances(D.T, V, True)
+    else:
+        d, Linv = _full_distances(D, V, Z)
     pw = weigh(d)
     active = int(np.count_nonzero(pw > 0.0))
     pw *= pi
@@ -319,7 +326,11 @@ def _step(XT, pi, mu, V, weigh, diag_approx, D, Z):
     if swd <= 0.0:
         raise DegenerateStep("all active observations coincide with the location")
     np.multiply(D, pw, out=Z)
-    return (XT @ pw) / sw, _scatter(Z @ D.T, swd), active
+    mu_new, V_new = (XT @ pw) / sw, _scatter(Z @ D.T, swd)
+    if diag_approx:
+        return mu_new, V_new, active, float(_diag_residual(mu_new, mu, np.diag(V_new), np.diag(V)))
+    dV = Linv @ (V_new - V) @ Linv.T
+    return mu_new, V_new, active, max(np.linalg.norm(Linv @ (mu_new - mu)), np.linalg.norm(dV))
 
 
 def _scatter(C, swd):
@@ -330,10 +341,11 @@ def _scatter(C, swd):
     return 0.5 * (V + V.T)
 
 
-def _relative_change(mu_new, mu, V_new, V) -> float:
-    r_mu = np.linalg.norm(mu_new - mu) / (1.0 + np.linalg.norm(mu))
-    r_v = np.linalg.norm(V_new - V, "fro") / (1.0 + np.linalg.norm(V, "fro"))
-    return max(r_mu, r_v)
+def _diag_residual(mu_new, mu, v_new, v):
+    """A diagonal-metric step's size in the metric of its start, along the
+    last axis: max(||(mu_new - mu) / sqrt(v)||, ||(v_new - v) / v||)."""
+    return np.maximum(np.linalg.norm((mu_new - mu) / np.sqrt(v), axis=-1),
+                      np.linalg.norm((v_new - v) / v, axis=-1))
 
 
 def _finish(data, ls, a, iterations, converged, residual, mask, error=None) -> FitResult:
@@ -378,9 +390,9 @@ def fit_sppca(
     no step can take fails at iteration 1 with ``active`` None.  Under the
     full metric a step that leaves fewer than p observations active raises
     SingularScatter with that step's count, so with n < p the fit fails at
-    iteration 1.  A start whose scatter has an entry of magnitude
-    MAX_ABS_ENTRY / p or more raises ValueError, as its stopping rule would
-    overflow.
+    iteration 1.  The fit stops at a step of ``residual`` at most ``opts.tol``
+    in the metric of its start (``_step``), so a fit of X s + b is s times
+    the fit of X, shifted by b, at any s.
     """
     if not 0.0 < a < np.inf:
         raise ValueError("a must be a positive finite number")
@@ -389,7 +401,6 @@ def fit_sppca(
         mu0, V0 = base.mu, a * base.V
     else:
         mu0, V0 = init.mu, init.V
-    _check_start(np.abs(V0).max(), data.p)
     if opts.diag_approx:
         (fit,) = _diag_fits(data, [a], mu0, np.diag(V0)[None, :], spec, opts)
     else:
@@ -400,17 +411,6 @@ def fit_sppca(
         raise fit
     finally:
         del fit  # the error's traceback holds this frame, which must not hold the error
-
-
-def _check_start(largest: float, p: int, where: str = "") -> None:
-    """Reject a start whose scatter has an entry of magnitude ``largest``
-    at or above MAX_ABS_ENTRY / p: the stopping rule's norm sums the squares
-    of the p^2 entries, and past that limit it overflows, so that the
-    relative change of an overflowed state could read as converged."""
-    limit = MAX_ABS_ENTRY / p
-    if not largest < limit:
-        raise ValueError(f"the start's scatter{where} has an entry of magnitude {largest:g}; "
-                         f"entries must be below MAX_ABS_ENTRY / p = {limit:.4g}")
 
 
 def _fit_error(n: int, cls, message: str, it: int, active: int | None):
@@ -446,20 +446,19 @@ def _full_fit(data, a, mu, V, spec, opts):
     active = None  # of the last completed step
     try:
         for it in range(1, opts.max_iter + 1):
-            mu_new, V_new, count = _step(XT, pi, mu, V, weigh, False, D, Z)
+            mu_new, V_new, count, residual = _step(XT, pi, mu, V, weigh, False, D, Z)
             # the scatter of fewer than p points is singular
             if count < data.p:
                 return _fit_error(data.n, SingularScatter,
                                   f"fewer than {data.p} observations active", it, count)
             active = count
-            residual = _relative_change(mu_new, mu, V_new, V)
             mu, V = mu_new, V_new
             if residual <= opts.tol:
                 break
         ls = LocationScatter(mu, V)
         # the active set is the trimming ball of the final state (in_ball)
         np.subtract(XT, mu[:, None], out=D)
-        mask = weigh(_full_distances(D, V, Z)) > 0
+        mask = weigh(_full_distances(D, V, Z)[0]) > 0
         return _finish(data, ls, a, it, bool(residual <= opts.tol), residual, mask)
     except FIT_FAILURES as exc:
         return _fit_error(data.n, type(exc), str(exc), it, active)
@@ -504,9 +503,9 @@ def _diag_fits(data, scales, mu0, v0, spec, opts) -> list:
         v'  = p / sum(W * d) * (W^T (X * X) - 2 M * W^T X + M^2 * sum W)
 
     with the rows centred at ``mu0`` to keep the expanded form's
-    cancellation small.  A fit leaves the batch when
-    (mu, diag V) moves by at most ``opts.tol`` relative, when it fails, or
-    at ``opts.max_iter``.  A diagonal entry that is not a positive normal
+    cancellation small.  A fit leaves the batch when a step's
+    ``_diag_residual`` is at most ``opts.tol``, when it fails, or at
+    ``opts.max_iter``.  A diagonal entry that is not a positive normal
     double fails the fit (SingularScatter), as every distance takes its
     reciprocal; each is checked where it is made, a start before the first
     pass, a new diagonal at the end of its pass (failing a fit that runs on
@@ -563,9 +562,7 @@ def _diag_fits(data, scales, mu0, v0, spec, opts) -> list:
         S2, S1 = S[:, :p], S[:, p:]
         mu_new = S1 / sw[:, None]
         v_new = (p / swd)[:, None] * (S2 - 2.0 * M * S1 + M * M * sw[:, None])
-        r_mu = np.linalg.norm(mu_new - M, axis=1) / (1.0 + np.linalg.norm(M + mu0, axis=1))
-        r_v = np.linalg.norm(v_new - v, axis=1) / (1.0 + np.linalg.norm(v, axis=1))
-        residual = np.maximum(r_mu, r_v)
+        residual = _diag_residual(mu_new, M, v_new, v)
         done = (residual <= opts.tol) | (it == opts.max_iter)
         bad = _bad_diagonals(v_new)
         for j in np.flatnonzero(bad):
@@ -603,8 +600,7 @@ def solution_set(
     start no step can take) are recorded in place with ``converged=False``,
     ``ls`` None, the error message and the iteration at which the fit
     failed, instead of aborting the path.  The scales must be positive,
-    finite and strictly increasing, and the start at the largest must pass
-    ``fit_sppca``'s magnitude limit; results are in grid order.
+    finite and strictly increasing; results are in grid order.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.size == 0:
@@ -615,8 +611,6 @@ def solution_set(
     if np.any(np.diff(grid) <= 0):
         raise ValueError("grid must be strictly increasing")
     base = initial_estimate(data)  # raises before any fit on degenerate data
-    _check_start(grid[-1] * np.abs(base.V).max(), data.p,
-                 f" at the grid's largest scale {grid[-1]:g}")
     if opts.diag_approx:
         fits = _diag_fits(data, grid, base.mu, grid[:, None] * np.diag(base.V), spec, opts)
     else:
@@ -644,6 +638,7 @@ def _row_medians(A):
     return (part[:, :n // 2].max(axis=1) + upper) / 2.0
 
 
+@np.errstate(over="ignore")  # see the clips below
 def _tau_scales(XT):
     """Medians and tau-scales of the rows of the finite p x n array XT,
     computed together in one p x n work array.
@@ -652,15 +647,16 @@ def _tau_scales(XT):
     Gaussian sd: MAD as the auxiliary scale, a bisquare-weighted location
     (tuning constant 4.5), then the square root of the truncated second
     moment (tuning constant 3.0), divided by the Gaussian consistency
-    factor.  A row whose MAD is below 1e-12 has scale 0.
+    factor.  A row whose MAD is not a positive normal double has scale 0.
     """
     med = _row_medians(XT)
     A = XT - med[:, None]
     np.abs(A, out=A)
     s0 = _row_medians(A)
-    flat = s0 < 1e-12
+    flat = s0 < _MIN_DIAGONAL
     s0[flat] = 1.0  # their scale is 0; any positive value avoids 0 / 0
-    # both weights clip before squaring, so far points cannot overflow
+    # both weights clip before squaring, so a far point's ratio to a tiny
+    # MAD may overflow only to inf, which the clips map to their bounds
     A /= s0[:, None]
     A /= TAU_SCALE_C1
     np.square(np.minimum(A, 1.0, out=A), out=A)
@@ -677,7 +673,7 @@ def _tau_scales(XT):
 def initial_estimate(data: DataSet) -> LocationScatter:
     """Column medians plus a diagonal of squared per-column tau-scales."""
     med, scales = _tau_scales(np.ascontiguousarray(data.X.T))
-    bad = np.nonzero(scales < 1e-12)[0]
+    bad = np.nonzero(scales < _MIN_DIAGONAL)[0]
     if bad.size:
         names = (
             [data.column_names[j] for j in bad]
@@ -716,7 +712,7 @@ def fit_tme(
     dropped = 0
     for _ in range(opts.max_iter):
         try:
-            _, V_new, active = _step(XT, pi, mu, V, _tyler, opts.diag_approx, D, Z)
+            _, V_new, active, _ = _step(XT, pi, mu, V, _tyler, opts.diag_approx, D, Z)
         except EmptyActiveSet:
             raise DegenerateStep("every observation coincides with mu") from None
         dropped = max(dropped, data.n - active)
@@ -762,13 +758,13 @@ def top_eigenpairs(V: np.ndarray, k: int):
 def estimating_equation_residual(
     data: DataSet, fit: FitResult, spec: WeightSpec = WeightSpec()
 ) -> float:
-    """Relative residual of the moment equations at a fitted state.
+    """Residual of the moment equations at a fitted state.
 
-    Applies the fixed-point map once at (mu_hat, V_hat) and measures the
-    relative change; at an exact solution both components are zero.
+    Applies the fixed-point map once at (mu_hat, V_hat) under the fit's
+    metric and returns the step's size in the metric of its start, as a
+    fit's ``residual`` does (``_step``); it is zero at an exact solution.
     """
     ls = fit.ls
     D, Z = np.empty((2, data.p, data.n))
-    mu_new, V_new, _ = _step(data.X.T, data.effective_weights(), ls.mu, ls.V,
-                             partial(weight, spec=spec), ls.diag_approx, D, Z)
-    return _relative_change(mu_new, ls.mu, V_new, ls.V)
+    return _step(data.X.T, data.effective_weights(), ls.mu, ls.V,
+                 partial(weight, spec=spec), ls.diag_approx, D, Z)[3]

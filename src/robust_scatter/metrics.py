@@ -197,11 +197,12 @@ def asymptotic_constants(radial: RadialSpec, spec: WeightSpec = WeightSpec()) ->
 
 
 def _eigenpairs(model: LocationScatter):
-    """Full descending eigen-decomposition with the distinctness check."""
+    """Full descending eigen-decomposition with the distinctness check, whose
+    gaps are measured against the largest eigenvalue, so it has no units."""
     m = pca(model, model.p)
     gaps = -np.diff(m.eigenvalues)
-    if np.any(gaps < 1e-10):
-        raise DegenerateSpectrum("eigenvalues closer than 1e-10")
+    if np.any(gaps < 1e-10 * m.eigenvalues[0]):
+        raise DegenerateSpectrum("eigenvalues closer than 1e-10 times the largest")
     return m.eigenvalues, m.eigenvectors
 
 
@@ -346,8 +347,9 @@ def empirical_if(
     the perturbed fit is warm-started from it, so both track the same
     branch.  Eigen-quantities are scale-free and are read off the fitted
     scatter as the closed forms read them: eigenvalues closer than 1e-10
-    raise DegenerateSpectrum.  ``functional`` is ``"location"``,
-    ``"eigvec"`` (index j), or ``"eigratio"`` (indices i, j).  When
+    times the largest raise DegenerateSpectrum.  ``functional`` is
+    ``"location"``, ``"eigvec"`` (index j), or ``"eigratio"`` (indices i,
+    j).  When
     ``linearity_tol`` is set, the quotient is recomputed at eps/2 and a
     warning is issued if the two disagree by more than that relative amount.
 

@@ -14,7 +14,7 @@ import pytest
 jsonschema = pytest.importorskip("jsonschema")
 
 import robust_scatter
-from robust_scatter import EmptyData, SimConfig, fit_sppca, gen_mixture
+from robust_scatter import EmptyData, FitOptions, SimConfig, fit_sppca, gen_mixture
 from robust_scatter.cli import build_parser, load_csv, main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -302,24 +302,34 @@ def test_cmd_fit_requires_scale(tmp_path, capsys):
 # ----------------------------------------------------------------- simulate
 
 
-@pytest.mark.parametrize("scale, args", [
-    (1.0, ["fit", "--a", "1e300"]),
-    (1e78, ["fit", "--a", "1", "--no-standardize"]),
-    (1e78, ["tune", "--no-standardize"]),
+@pytest.mark.parametrize("scale, args, ref_args, factor", [
+    (1.0, ["fit", "--a", "1e300"], ["fit", "--a", "1e100"], 1e200),
+    (1e78, ["fit", "--a", "1", "--no-standardize"], None, 1e156),
+    (1e78, ["tune", "--no-standardize"], None, None),
 ], ids=["fit-huge-a", "fit-huge-data", "tune-huge-data"])
-def test_cmd_rejects_a_start_too_large_for_the_stopping_rule(tmp_path, capsys, scale, args):
-    # unchecked, the stopping rule overflowed and fit wrote a model.json
-    # saying converged: true, residual: 0.0
-    src = tmp_path / "data.csv"
-    X = scale * np.random.default_rng(0).standard_normal((200, 3))
-    write_csv(src, X.tolist(), ["v0", "v1", "v2"])
-    rc = main([args[0], str(src), *args[1:], "--out-dir", str(tmp_path)])
-    assert rc == 1
-    err = json.loads(capsys.readouterr().err)
-    assert err["error"] == "ValueError"
-    assert err["message"].endswith("entries must be below MAX_ABS_ENTRY / p = 4.469e+153")
-    assert not (tmp_path / "model.json").exists()
-    assert not (tmp_path / "tuning.json").exists()
+def test_cmd_fits_huge_starts(tmp_path, scale, args, ref_args, factor):
+    # the stopping rule measures each step in the metric of its start, so a
+    # start far above sqrt(float max) fits: its model is the reference model
+    # with the eigenvalues times ``factor``
+    bound = 10 * FitOptions().tol  # the models stop within one step of tol
+    X = np.random.default_rng(0).standard_normal((200, 3))
+
+    def run(name, Y, argv):
+        src, out = tmp_path / f"{name}.csv", tmp_path / name
+        write_csv(src, Y.tolist(), ["v0", "v1", "v2"])
+        assert main([argv[0], str(src), *argv[1:], "--out-dir", str(out)]) == 0
+        return {f.name: json.loads(f.read_text()) for f in out.glob("*.json")}
+
+    got, ref = run("huge", scale * X, args), run("ref", X, ref_args or args)
+    if factor is None:  # the grid and the active ratios have no units
+        assert got == ref
+        return
+    model, ref = got["model.json"], ref["model.json"]
+    assert model["converged"] and model["residual"] <= FitOptions().tol
+    assert np.isfinite(np.concatenate([model["mu"], model["eigenvalues"]])).all()
+    lam, ref_lam = np.array(model["eigenvalues"]) / factor, np.array(ref["eigenvalues"])
+    assert np.abs(lam - ref_lam).max() <= bound * ref_lam.max()
+    assert np.abs(np.array(model["mu"]) / scale - ref["mu"]).max() <= bound
 
 
 @pytest.mark.parametrize("a", ["inf", "nan", "-inf"])
@@ -567,13 +577,17 @@ def test_cli_seed_only_for_simulation():
 
 
 @pytest.mark.parametrize("cmd", ["simulate", "benchmark"])
-def test_no_standardize_only_with_an_input(cmd):
+def test_no_standardize_only_with_an_input(cmd, capsys):
     # simulate and benchmark read no CSV, so they take no --no-standardize;
-    # they run the estimator at its defaults, so no --alpha or metric either
+    # they run the estimator at its defaults, so no --alpha or metric either.
+    # The usage error is the subcommand's, as for its other usage errors.
     for flag in (["--no-standardize"], ["--alpha", "0.1"], ["--full-mahalanobis"]):
         with pytest.raises(SystemExit) as exc:
-            build_parser().parse_args([cmd, *flag])
+            main([cmd, *flag])
         assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: robust-scatter {cmd} ")
+        assert err.endswith(f"error: unrecognized arguments: {' '.join(flag)}\n")
 
 
 def test_parser_is_built_once_and_parses_afresh():

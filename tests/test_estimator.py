@@ -7,6 +7,7 @@ import pytest
 import scipy.integrate
 import scipy.linalg
 import scipy.stats
+from hypothesis import example, given, settings, strategies as st
 
 from robust_scatter import (
     DataSet,
@@ -144,6 +145,9 @@ def test_location_scatter_validation():
     assert ls.p == 2
     with pytest.raises(SingularScatter):
         LocationScatter(np.zeros(2), np.diag([1.0, 0.0]), diag_approx=True)
+    # the symmetry tolerance is relative at every scale
+    with pytest.raises(ValueError, match="symmetric"):
+        LocationScatter(np.zeros(2), 1e-20 * np.array([[1.0, 0.5], [0.0, 1.0]]))
 
 
 # --------------------------------------------------------------- mahalanobis
@@ -357,16 +361,20 @@ def test_fit_convergence_from_robust_init(rng):
 
 
 def test_diag_residual_is_relative_change_of_location_and_diagonal(rng):
-    # under the diagonal metric a fit's residual is the relative change of
-    # (mu, diag V) in its last step, relative to the previous absolute state
+    # under the diagonal metric a fit's residual is its last step measured in
+    # the metric of the state that step started from: the location's move in
+    # units of sqrt(diag V), and the relative change of diag V
     data = DataSet(gaussian_data(300, 3, rng=rng) + 20.0)
-    prev = fit_sppca(data, 3.0, opts=FitOptions(max_iter=3)).ls
+    third = fit_sppca(data, 3.0, opts=FitOptions(max_iter=3))
+    prev = third.ls
     last = fit_sppca(data, 3.0, opts=FitOptions(max_iter=4))
     assert not last.converged and last.iterations == 4
     dv_prev, dv = np.diag(prev.V), np.diag(last.ls.V)
-    r_mu = np.linalg.norm(last.ls.mu - prev.mu) / (1.0 + np.linalg.norm(prev.mu))
-    r_v = np.linalg.norm(dv - dv_prev) / (1.0 + np.linalg.norm(dv_prev))
+    r_mu = np.linalg.norm((last.ls.mu - prev.mu) / np.sqrt(dv_prev))
+    r_v = np.linalg.norm((dv - dv_prev) / dv_prev)
     assert last.residual == pytest.approx(max(r_mu, r_v), rel=1e-6)
+    # the moment equations' residual at the third iterate is the fourth step
+    assert estimating_equation_residual(data, third) == pytest.approx(last.residual, rel=1e-6)
 
 
 @pytest.mark.parametrize("diag_approx", [False, True])
@@ -383,6 +391,30 @@ def test_scale_law_and_residual(rng, diag_approx):
         ratio = np.linalg.det(fit.ls.V) ** (1.0 / p) / (a * det_init)
         assert 0.0 < ratio < 1.0
         assert estimating_equation_residual(data, fit) <= 10 * opts.tol
+
+
+UNITS_X = np.random.default_rng(0).normal(0.0, [3.0, 1.0, 0.5], (300, 3)) + 5.0
+
+
+@pytest.mark.parametrize("diag_approx", [True, False], ids=["diag", "full"])
+@settings(max_examples=40, deadline=None, derandomize=True)
+@example(log_s=-5.0, shift=[0.0, 0.0, 0.0])
+@given(log_s=st.floats(-100.0, 100.0),
+       shift=st.lists(st.floats(-100.0, 100.0), min_size=3, max_size=3))
+def test_fits_do_not_depend_on_the_datas_units(diag_approx, log_s, shift):
+    # the map is affine equivariant and each step is measured in the metric
+    # of its start, so the fit of X s + b, scaled back, is the fit of X: the
+    # two stop within one step of size tol of each other
+    s = 10.0 ** log_s
+    b = s * np.asarray(shift)  # a shift in the data's own units
+    opts = FitOptions(diag_approx=diag_approx)
+    ref = fit_sppca(DataSet(UNITS_X), 3.0, opts=opts)
+    fit = fit_sppca(DataSet(UNITS_X * s + b), 3.0, opts=opts)
+    assert ref.converged and fit.converged
+    bound = 10 * opts.tol
+    scale = np.sqrt(np.diag(ref.ls.V))
+    assert np.abs(((fit.ls.mu - b) / s - ref.ls.mu) / scale).max() <= bound
+    assert np.abs(fit.ls.V / s / s - ref.ls.V).max() <= bound * np.abs(ref.ls.V).max()
 
 
 def test_permutation_equivariance(rng):
@@ -412,8 +444,10 @@ def reference_full_fit(data, mu, V, spec, opts):
         mu_new = (pw @ X) / pw.sum()
         V_new = p / (pw @ d) * (diff.T @ (diff * pw[:, None]))
         V_new = 0.5 * (V_new + V_new.T)
-        r = max(np.linalg.norm(mu_new - mu) / (1.0 + np.linalg.norm(mu)),
-                np.linalg.norm(V_new - V) / (1.0 + np.linalg.norm(V)))
+        # the step's size in the metric of V = L L^T
+        L = np.linalg.cholesky(V)
+        dV = np.linalg.solve(L, np.linalg.solve(L, V_new - V).T)
+        r = max(np.linalg.norm(np.linalg.solve(L, mu_new - mu)), np.linalg.norm(dV))
         mu, V = mu_new, V_new
         if r <= opts.tol:
             converged = True
@@ -496,24 +530,31 @@ def test_solution_set_rejects_nonpositive_scales(rng, diag_approx):
 
 
 @pytest.mark.parametrize("diag_approx", [True, False], ids=["diag", "full"])
-def test_a_start_too_large_for_the_stopping_rule_is_rejected(diag_approx):
-    # the relative change sums the squares of the scatter's entries: from
-    # MAX_ABS_ENTRY / p on it overflows, and an overflowed fit would read
-    # as converged with residual 0
+def test_huge_starts_fit_to_the_scaled_fit(diag_approx):
+    # each step is measured in the metric of its start, so no scale makes
+    # the stopping rule overflow: starts far above sqrt(float max) converge,
+    # to the fit at a smaller start scaled by the ratio of the starts
     data = DataSet(np.random.default_rng(0).standard_normal((200, 3)))
-    huge = DataSet(1e78 * data.X)
     opts = FitOptions(diag_approx=diag_approx)
-    match = "entries must be below MAX_ABS_ENTRY / p = 4.469e\\+153$"
-    with pytest.raises(ValueError, match="^the start's scatter has an entry of magnitude"):
-        fit_sppca(data, 1e200, opts=opts)
-    init = LocationScatter(np.zeros(3), 1e200 * np.eye(3))
-    with pytest.raises(ValueError, match=match):
-        fit_sppca(data, 1.0, init=init, opts=opts)
-    with pytest.raises(ValueError, match=match):
-        fit_sppca(huge, 1.0, opts=opts)
-    with pytest.raises(ValueError, match="^the start's scatter at the grid's largest scale 9 "):
-        solution_set(huge, build_grid(3), opts=opts)
-    assert fit_sppca(data, 1e150, opts=opts).converged  # well inside the limit
+    bound = 10 * opts.tol  # two fits within one step of tol of each other
+
+    def close(fit, ref, factor, shift=1.0):
+        # fit is ref with V scaled by factor and mu by shift
+        assert fit.converged and fit.residual <= opts.tol
+        assert np.abs(fit.ls.mu / shift - ref.ls.mu).max() <= bound
+        assert np.abs(fit.ls.V / factor - ref.ls.V).max() <= bound * np.abs(ref.ls.V).max()
+
+    ref = fit_sppca(data, 1e100, opts=opts)
+    for a in (1e200, 1e300, 1e307):
+        close(fit_sppca(data, a, opts=opts), ref, a / 1e100)
+    init = LocationScatter(np.zeros(3), 1e100 * np.eye(3))
+    close(fit_sppca(data, 1.0, init=replace(init, V=1e200 * np.eye(3)), opts=opts),
+          fit_sppca(data, 1.0, init=init, opts=opts), 1e100)
+    huge = DataSet(1e78 * data.X)
+    close(fit_sppca(huge, 1.0, opts=opts), fit_sppca(data, 1.0, opts=opts), 1e156, 1e78)
+    for fit, ref in zip(solution_set(huge, build_grid(3), opts=opts),
+                        solution_set(data, build_grid(3), opts=opts)):
+        close(fit, ref, 1e156, 1e78)
 
 
 def test_solution_set_shape_uniqueness(rng):
@@ -799,7 +840,7 @@ def reference_tau_scale(x):
     """The per-column tau-scale as a scalar computation on one sample."""
     med = np.median(x)
     s0 = np.median(np.abs(x - med))
-    if s0 < 1e-12:
+    if s0 < np.finfo(float).tiny:
         return 0.0
     u = np.minimum(np.abs(x - med) / s0 / TAU_SCALE_C1, 1.0)
     wloc = (1.0 - u**2) ** 2
@@ -826,10 +867,25 @@ def test_initial_estimate_names_zero_mad_columns(rng):
     X = rng.standard_normal((9, 4))
     X[:5, 1] = 2.0
     X[2:, 2] = -1.0
-    names = [j for j, col in zip("abcd", X.T) if reference_tau_scale(col) < 1e-12]
+    names = [j for j, col in zip("abcd", X.T) if reference_tau_scale(col) == 0.0]
     assert names == ["b", "c"]
     with pytest.raises(DegenerateScale, match=r"column\(s\): b, c$"):
         initial_estimate(DataSet(X, column_names=list("abcd")))
+
+
+def test_zero_scale_rule_has_no_units(rng):
+    # a robust scale is 0 only where the MAD is not a positive normal double,
+    # so data in tiny units start where the unscaled data do; where the
+    # squared scales are subnormal the start fails by type, with no warning
+    # from a far row's overflowing ratio to the MAD
+    X = gaussian_data(300, 3, rng=rng)
+    base = initial_estimate(DataSet(X))
+    for s in (1e-12, 1e-100):
+        np.testing.assert_allclose(initial_estimate(DataSet(s * X)).V / s**2, base.V, rtol=1e-14)
+    Y = 1e-160 * X
+    Y[0, 0] = 1e154
+    with pytest.raises(SingularScatter, match="subnormal entries$"):
+        initial_estimate(DataSet(Y))
 
 
 @pytest.mark.parametrize("n", [1, 2, 7, 8, 1000, 1001])

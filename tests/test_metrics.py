@@ -210,6 +210,25 @@ def test_if_degenerate_spectrum():
         if_eigenvector(np.ones(2), 0, model, consts, SPEC)
 
 
+@pytest.mark.parametrize("scale", [1e-12, 1e12])
+def test_eigen_influence_is_scale_free(scale):
+    # the eigen functionals do not depend on the scatter's units, and
+    # neither does the distinctness check: at any scale the influence equals
+    # the unit-scale one, and a tie is a tie
+    consts = asymptotic_constants(RadialSpec.gaussian(3), SPEC)
+    model = LocationScatter(np.zeros(3), np.diag([3.0, 2.0, 1.0]))
+    scaled = LocationScatter(np.zeros(3), scale * model.V)
+    x = np.array([0.5, 0.2, -0.1])
+    xs = math.sqrt(scale) * x  # the same point in the scaled units
+    for j in range(3):
+        np.testing.assert_allclose(if_eigenvector(xs, j, scaled, consts, SPEC),
+                                   if_eigenvector(x, j, model, consts, SPEC), rtol=1e-12)
+    assert if_eigenvalue_ratio(xs, 0, 1, scaled, consts, SPEC) == pytest.approx(
+        if_eigenvalue_ratio(x, 0, 1, model, consts, SPEC), rel=1e-12)
+    with pytest.raises(DegenerateSpectrum):
+        if_eigenvector(xs, 0, LocationScatter(np.zeros(3), scale * np.eye(3)), consts, SPEC)
+
+
 def test_if_eigenvector_structure(rng):
     model = model_p3()
     consts = asymptotic_constants(RadialSpec.gaussian(3), SPEC)
